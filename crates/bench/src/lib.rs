@@ -113,26 +113,49 @@ where
         .collect()
 }
 
-/// Parses `--jobs N` (or `-j N`) from the process arguments; defaults to
-/// the machine's available parallelism.
+/// Parses `--jobs N` (or `-j N`, `--jobs=N`) from the process arguments;
+/// defaults to the machine's available parallelism. A malformed or zero
+/// job count prints the reason and exits with code 2.
 pub fn jobs_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--jobs" || a == "-j" {
-            if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        }
-        if let Some(n) = a
-            .strip_prefix("--jobs=")
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return n.max(1);
+    match parse_jobs(&args) {
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+}
+
+/// The job count named by the first `--jobs N`, `-j N` or `--jobs=N` in
+/// `args`, or `None` if there is none.
+///
+/// # Errors
+///
+/// A flag without a value, a value that is not an unsigned integer, or 0:
+/// the worker pools need at least one thread, as
+/// [`FlowOptions::validate`] requires.
+fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        let (flag, value) = if a == "--jobs" || a == "-j" {
+            let value = args.next().ok_or_else(|| format!("{a} needs a value"))?;
+            (a.as_str(), value.as_str())
+        } else if let Some(value) = a.strip_prefix("--jobs=") {
+            ("--jobs", value)
+        } else {
+            continue;
+        };
+        return match value.parse::<usize>() {
+            Ok(0) => Err(format!("{flag} 0: need at least one job")),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!("{flag} {value:?}: not an unsigned integer")),
+        };
+    }
+    Ok(None)
 }
 
 /// Asserts that `result`'s circuit still computes the kernel's reference
@@ -533,6 +556,38 @@ mod tests {
         assert!(parallel_map(&empty, 4, |&x| x).is_empty());
         let one = [7u32];
         assert_eq!(parallel_map(&one, 64, |&x| x + 1), vec![8]);
+    }
+
+    fn jobs(args: &[&str]) -> Result<Option<usize>, String> {
+        let args: Vec<String> = std::iter::once("table1")
+            .chain(args.iter().copied())
+            .map(String::from)
+            .collect();
+        parse_jobs(&args)
+    }
+
+    #[test]
+    fn parse_jobs_reads_every_spelling() {
+        assert_eq!(jobs(&[]), Ok(None));
+        assert_eq!(jobs(&["--json", "out.json"]), Ok(None));
+        assert_eq!(jobs(&["--jobs", "4"]), Ok(Some(4)));
+        assert_eq!(jobs(&["--jobs=3"]), Ok(Some(3)));
+        assert_eq!(jobs(&["-j", "2", "--json", "out.json"]), Ok(Some(2)));
+    }
+
+    #[test]
+    fn parse_jobs_rejects_malformed_counts() {
+        let bad: [&[&str]; 6] = [
+            &["--jobs", "abc"],
+            &["--jobs", "0"],
+            &["--jobs=0"],
+            &["-j", "-1"],
+            &["--jobs"],
+            &["--jobs="],
+        ];
+        for args in bad {
+            assert!(jobs(args).is_err(), "{args:?} was accepted");
+        }
     }
 
     #[test]

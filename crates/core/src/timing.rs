@@ -342,48 +342,6 @@ impl TimingGraph {
             .filter_map(|e| e.channel)
             .collect()
     }
-
-    /// Count of (real, fake) nodes attributed to each unit.
-    pub fn unit_node_counts(&self) -> HashMap<UnitId, (usize, usize)> {
-        let mut m: HashMap<UnitId, (usize, usize)> = HashMap::default();
-        for n in &self.nodes {
-            if let Some(u) = n.unit {
-                let e = m.entry(u).or_default();
-                if n.fake {
-                    e.1 += 1;
-                } else {
-                    e.0 += 1;
-                }
-            }
-        }
-        m
-    }
-
-    /// Fake nodes per unit that are incident to an edge labeled with a
-    /// given channel — the `X_fake(c)` sets of Eq. 2.
-    pub fn fake_nodes_touching(&self) -> HashMap<(UnitId, ChannelId), usize> {
-        let mut m: HashMap<(UnitId, ChannelId), usize> = HashMap::default();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.fake {
-                continue;
-            }
-            let Some(u) = n.unit else { continue };
-            let mut touched: Vec<ChannelId> = Vec::new();
-            for e in &self.edges {
-                if e.from.0 == i || e.to.0 == i {
-                    if let Some(c) = e.channel {
-                        if !touched.contains(&c) {
-                            touched.push(c);
-                        }
-                    }
-                }
-            }
-            for c in touched {
-                *m.entry((u, c)).or_default() += 1;
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -452,16 +410,5 @@ mod tests {
         // Breaking the ring restores a depth.
         let d = tg.depth(|ch| ch == ChannelId::from_raw(2)).unwrap();
         assert_eq!(d, 2);
-    }
-
-    #[test]
-    fn unit_node_accounting() {
-        let tg = tiny();
-        let counts = tg.unit_node_counts();
-        assert_eq!(counts[&UnitId::from_raw(0)], (1, 0));
-        assert_eq!(counts[&UnitId::from_raw(1)], (0, 1));
-        let fakes = tg.fake_nodes_touching();
-        assert_eq!(fakes[&(UnitId::from_raw(1), ChannelId::from_raw(0))], 1);
-        assert_eq!(fakes[&(UnitId::from_raw(1), ChannelId::from_raw(1))], 1);
     }
 }

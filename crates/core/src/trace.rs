@@ -2,11 +2,12 @@
 //!
 //! Every flow run ([`optimize_iterative`](crate::optimize_iterative) and
 //! [`optimize_baseline`](crate::optimize_baseline)) records where its wall
-//! clock went — synthesis, LUT→DFG mapping, timing-model construction,
-//! MILP solving, slack matching — together with the synthesis-cache
-//! hit/miss counts and the MILP cut rounds consumed. The trace rides on
-//! [`FlowResult`](crate::FlowResult) and is printed by the bench
-//! binaries, giving performance work a baseline to regress against.
+//! clock went — synthesis, LUT→DFG mapping, the timing lane (timing models,
+//! CFDFC extraction, penalties), MILP solving, slack matching — together
+//! with the synthesis-cache hit/miss counts and the MILP cut rounds
+//! consumed. The trace rides on [`FlowResult`](crate::FlowResult) and is
+//! printed by the bench binaries, giving performance work a baseline to
+//! regress against.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -19,7 +20,8 @@ pub struct FlowTrace {
     pub synth: Duration,
     /// Time spent mapping LUT edges back onto the DFG.
     pub map: Duration,
-    /// Time spent building mapping-aware (or baseline) timing models.
+    /// Time spent building mapping-aware (or baseline) timing models,
+    /// extracting CFDFCs and computing the Eq. 2 penalties.
     pub timing: Duration,
     /// Time spent in the placement MILP.
     pub milp: Duration,
