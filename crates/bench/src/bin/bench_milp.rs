@@ -11,8 +11,8 @@
 //! Writes `BENCH_milp.json` (per-kernel model sizes, engine wall clocks,
 //! speedups, pivot/refactorization/node/cut counters, warm-start adoption,
 //! and the jobs-sweep identity verdict) and prints a table. Each engine
-//! solves every model `--repeats` times (default 3) and the minimum wall
-//! clock is reported.
+//! solves every model `--repeats` times (default 3; a malformed or zero
+//! count exits with code 2) and the minimum wall clock is reported.
 //!
 //! With `--baseline FILE`, the previously committed `BENCH_milp.json` is
 //! read *before* anything is overwritten and the fresh deterministic work
@@ -23,7 +23,7 @@
 //! but it means the committed baseline no longer describes the solver and
 //! must be regenerated. Wall clocks are never gated.
 
-use frequenz_bench::CompareError;
+use frequenz_bench::{arg_value, repeats_from_args, CompareError};
 use frequenz_core::{
     build_placement_model, compute_penalties, extract_cfdfcs, map_lut_edges, synthesize,
     FlowOptions, PlacementProblem, TimingGraph,
@@ -42,19 +42,6 @@ struct Row {
     sparse: Solution,
     warm: Solution,
     jobs_identical: bool,
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 /// Builds the canonicalized seed placement model for one kernel.
@@ -89,7 +76,7 @@ fn placement_model(kernel: &hls::Kernel, opts: &FlowOptions) -> Result<Model, Co
 fn time_solve(model: &Model, repeats: usize) -> Result<(f64, Solution), CompareError> {
     let mut best = f64::INFINITY;
     let mut sol = None;
-    for _ in 0..repeats.max(1) {
+    for _ in 0..repeats {
         let t = Instant::now();
         let s = model.solve()?;
         best = best.min(t.elapsed().as_secs_f64());
@@ -163,9 +150,7 @@ fn drifted(fresh: u64, base: u64) -> bool {
 }
 
 fn main() -> Result<(), CompareError> {
-    let repeats: usize = arg_value("--repeats")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let repeats = repeats_from_args();
     let out = arg_value("--out").unwrap_or_else(|| "BENCH_milp.json".into());
     // Read the committed baseline *now*: `--baseline` may point at the same
     // path as `--out`, which is overwritten below.

@@ -1,19 +1,19 @@
-//! Benchmarks the simulation engines on the nine kernels' seeded graphs —
-//! the compiled bytecode engine and the event-driven scheduler against the
-//! full-sweep oracle (three-way bit-identity checked) — and compares the
-//! engines on the workload that motivated the compiled backend: the
-//! slack-matching pass's trial simulations (sim sub-lane wall clock,
-//! jobs=1, buffer-set identity checked across engines and job counts).
+//! Benchmarks the compiled bytecode engine against the full-sweep oracle
+//! on the nine kernels' seeded graphs (bit-identity checked) and on the
+//! workload that motivated the compiled backend: the slack-matching pass's
+//! trial simulations (sim sub-lane wall clock, jobs=1, buffer-set identity
+//! checked across engines and job counts).
 //!
 //! ```sh
 //! cargo run -p frequenz-bench --release --bin bench_sim -- \
 //!     [--repeats N] [--out FILE] [--baseline FILE]
 //! ```
 //!
-//! Writes `BENCH_sim.json` (per-kernel simulated cycles/second for all
+//! Writes `BENCH_sim.json` (per-kernel simulated cycles/second for both
 //! engines, speedups, the slack-lane comparison, and the identity
 //! verdicts) and prints a table. Each engine runs every kernel
-//! `--repeats` times (default 3) and the minimum wall clock is reported.
+//! `--repeats` times (default 3; a malformed or zero count exits with
+//! code 2) and the minimum wall clock is reported.
 //!
 //! With `--baseline FILE`, the previously committed `BENCH_sim.json` is
 //! read *before* the fresh run overwrites it and the run fails if any
@@ -21,7 +21,7 @@
 //! deterministic — any drift is a semantics change) or if any identity
 //! verdict is false.
 
-use frequenz_bench::CompareError;
+use frequenz_bench::{arg_value, repeats_from_args, CompareError};
 use frequenz_core::{slack_match_traced, FlowTrace, SlackOptions, SynthCache};
 use sim::{RunStats, SimEngine, SimError, Simulator};
 use std::time::Instant;
@@ -30,10 +30,9 @@ struct Row {
     name: &'static str,
     cycles: u64,
     sweep_s: f64,
-    event_s: f64,
     compiled_s: f64,
     engines_identical: bool,
-    slack_event_sim_s: f64,
+    slack_sweep_sim_s: f64,
     slack_compiled_sim_s: f64,
     slack_trials: u64,
     slack_pruned: u64,
@@ -43,38 +42,20 @@ struct Row {
 }
 
 impl Row {
-    /// Event-driven vs full-sweep on one seeded run.
-    fn event_speedup(&self) -> f64 {
-        self.sweep_s / self.event_s.max(1e-12)
-    }
-
-    /// Compiled vs event-driven on one seeded run (compile included).
+    /// Compiled vs full sweep on one seeded run (compile included).
     fn compiled_speedup(&self) -> f64 {
-        self.event_s / self.compiled_s.max(1e-12)
+        self.sweep_s / self.compiled_s.max(1e-12)
     }
 
-    /// Compiled vs event-driven on the slack-trial workload (one compile
+    /// Compiled vs full sweep on the slack-trial workload (one compile
     /// amortized over every profile and trial of the pass).
     fn slack_speedup(&self) -> f64 {
-        self.slack_event_sim_s / self.slack_compiled_sim_s.max(1e-12)
+        self.slack_sweep_sim_s / self.slack_compiled_sim_s.max(1e-12)
     }
 
     fn compiled_cps(&self) -> f64 {
         self.cycles as f64 / self.compiled_s.max(1e-12)
     }
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 /// Everything externally observable about one run, for the identity check.
@@ -109,7 +90,7 @@ fn time_engine(
 ) -> Result<(f64, u64), CompareError> {
     let mut best = f64::INFINITY;
     let mut cycles = 0;
-    for _ in 0..repeats.max(1) {
+    for _ in 0..repeats {
         let t = Instant::now();
         let mut s = Simulator::with_engine(g, engine)?;
         let stats = s.run(budget)?;
@@ -146,9 +127,7 @@ fn baseline_cycles(text: &str) -> Vec<(String, u64)> {
 }
 
 fn main() -> Result<(), CompareError> {
-    let repeats: usize = arg_value("--repeats")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let repeats = repeats_from_args();
     let out = arg_value("--out").unwrap_or_else(|| "BENCH_sim.json".into());
     // Read the committed baseline *now*: `--baseline` may point at the same
     // path as `--out`, which is overwritten below.
@@ -170,16 +149,14 @@ fn main() -> Result<(), CompareError> {
         kernels.len()
     );
     println!(
-        "{:<15} | {:>8} | {:>9} {:>9} {:>9} {:>7} {:>7} | {:>10} | {:>9} {:>9} {:>7} | {:>6} {:>5} | {:>5}",
+        "{:<15} | {:>8} | {:>9} {:>9} {:>7} | {:>10} | {:>9} {:>9} {:>7} | {:>6} {:>5} | {:>5}",
         "Benchmark",
         "cycles",
         "sweep(s)",
-        "event(s)",
         "compl(s)",
-        "ev/sw",
-        "cp/ev",
+        "cp/sw",
         "compl c/s",
-        "slkEv(s)",
+        "slkSw(s)",
         "slkCp(s)",
         "slack x",
         "trials",
@@ -192,20 +169,16 @@ fn main() -> Result<(), CompareError> {
         let g = kernel.seeded_graph();
         let budget = kernel.max_cycles * 4;
 
-        // Three-way bit-identity first: cycles, exit, counters, memories,
-        // errors — the full-sweep engine is the oracle.
-        let sweep_fp = fingerprint(&g, SimEngine::FullSweep, budget);
-        let event_fp = fingerprint(&g, SimEngine::EventDriven, budget);
-        let compiled_fp = fingerprint(&g, SimEngine::Compiled, budget);
-        let engines_identical = event_fp == sweep_fp && compiled_fp == sweep_fp;
+        // Bit-identity first: cycles, exit, counters, memories, errors —
+        // the full-sweep engine is the oracle.
+        let engines_identical = fingerprint(&g, SimEngine::Compiled, budget)
+            == fingerprint(&g, SimEngine::FullSweep, budget);
         if !engines_identical {
             eprintln!("[bench_sim] {}: engines diverged!", kernel.name);
         }
 
         let (sweep_s, cycles) = time_engine(&g, SimEngine::FullSweep, budget, repeats)?;
-        let (event_s, event_cycles) = time_engine(&g, SimEngine::EventDriven, budget, repeats)?;
         let (compiled_s, compiled_cycles) = time_engine(&g, SimEngine::Compiled, budget, repeats)?;
-        assert_eq!(cycles, event_cycles, "{}: cycle counts differ", kernel.name);
         assert_eq!(
             cycles, compiled_cycles,
             "{}: compiled cycle count differs",
@@ -219,7 +192,7 @@ fn main() -> Result<(), CompareError> {
         let cache = SynthCache::new();
         let seed: Vec<_> = kernel.back_edges().to_vec();
         let mut lane: Vec<(Vec<_>, u64, u64, f64)> = Vec::new(); // per engine
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
+        for engine in [SimEngine::FullSweep, SimEngine::Compiled] {
             let opts = SlackOptions {
                 sim_budget: budget,
                 jobs: 1,
@@ -228,7 +201,7 @@ fn main() -> Result<(), CompareError> {
             };
             let mut best_sim = f64::INFINITY;
             let mut outcome = None;
-            for _ in 0..repeats.max(1) {
+            for _ in 0..repeats {
                 let mut trace = FlowTrace::default();
                 let buffers = slack_match_traced(kernel.graph(), &seed, &opts, &cache, &mut trace)?;
                 best_sim = best_sim.min(trace.sim.as_secs_f64());
@@ -266,10 +239,9 @@ fn main() -> Result<(), CompareError> {
             name: kernel.name,
             cycles,
             sweep_s,
-            event_s,
             compiled_s,
             engines_identical,
-            slack_event_sim_s: lane[0].3,
+            slack_sweep_sim_s: lane[0].3,
             slack_compiled_sim_s: lane[1].3,
             slack_trials: lane[1].1,
             slack_pruned: lane[1].2,
@@ -278,16 +250,14 @@ fn main() -> Result<(), CompareError> {
             slack_engines_identical,
         };
         println!(
-            "{:<15} | {:>8} | {:>9.4} {:>9.4} {:>9.4} {:>6.2}x {:>6.2}x | {:>10.0} | {:>9.4} {:>9.4} {:>6.2}x | {:>6} {:>5} | {:>5}",
+            "{:<15} | {:>8} | {:>9.4} {:>9.4} {:>6.2}x | {:>10.0} | {:>9.4} {:>9.4} {:>6.2}x | {:>6} {:>5} | {:>5}",
             row.name,
             row.cycles,
             row.sweep_s,
-            row.event_s,
             row.compiled_s,
-            row.event_speedup(),
             row.compiled_speedup(),
             row.compiled_cps(),
-            row.slack_event_sim_s,
+            row.slack_sweep_sim_s,
             row.slack_compiled_sim_s,
             row.slack_speedup(),
             row.slack_trials,
@@ -300,9 +270,9 @@ fn main() -> Result<(), CompareError> {
     // Headline numbers: the aggregate slack-lane speedup (the workload the
     // compiled engine exists for), the paper-scale kernel (gemver) and the
     // slowest simulation overall.
-    let slack_event_total: f64 = rows.iter().map(|r| r.slack_event_sim_s).sum();
+    let slack_sweep_total: f64 = rows.iter().map(|r| r.slack_sweep_sim_s).sum();
     let slack_compiled_total: f64 = rows.iter().map(|r| r.slack_compiled_sim_s).sum();
-    let slack_total_speedup = slack_event_total / slack_compiled_total.max(1e-12);
+    let slack_total_speedup = slack_sweep_total / slack_compiled_total.max(1e-12);
     let gemver = rows.iter().find(|r| r.name == "gemver");
     let largest = rows
         .iter()
@@ -310,17 +280,16 @@ fn main() -> Result<(), CompareError> {
         .expect("at least one kernel");
     if let Some(g) = gemver {
         println!(
-            "\ngemver: compiled engine is {:.2}x faster than event-driven ({:.2}x vs full sweep)",
+            "\ngemver: compiled engine is {:.2}x faster than the full sweep",
             g.compiled_speedup(),
-            g.event_speedup() * g.compiled_speedup(),
         );
     }
     println!(
         "slack-trial lane (all kernels, jobs=1): compiled {slack_compiled_total:.4}s vs \
-         event {slack_event_total:.4}s — {slack_total_speedup:.2}x"
+         sweep {slack_sweep_total:.4}s — {slack_total_speedup:.2}x"
     );
     println!(
-        "slowest sweep: {} — compiled engine {:.2}x faster than event-driven",
+        "slowest sweep: {} — compiled engine {:.2}x faster",
         largest.name,
         largest.compiled_speedup()
     );
@@ -350,13 +319,9 @@ fn main() -> Result<(), CompareError> {
     json.push_str(&format!("  \"repeats\": {repeats},\n"));
     json.push_str("  \"jobs_swept\": [1, 2, 8],\n");
     json.push_str(&format!(
-        "  \"slack_sim_speedup_compiled_vs_event\": {slack_total_speedup:.3},\n"
+        "  \"slack_sim_speedup_compiled_vs_sweep\": {slack_total_speedup:.3},\n"
     ));
     if let Some(g) = gemver {
-        json.push_str(&format!(
-            "  \"gemver_event_speedup\": {:.3},\n",
-            g.event_speedup()
-        ));
         json.push_str(&format!(
             "  \"gemver_compiled_speedup\": {:.3},\n",
             g.compiled_speedup()
@@ -375,10 +340,10 @@ fn main() -> Result<(), CompareError> {
     json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"sweep_s\": {:.6}, \"event_s\": {:.6}, \
-             \"compiled_s\": {:.6}, \"event_speedup\": {:.3}, \"compiled_speedup\": {:.3}, \
+            "    {{\"name\": \"{}\", \"cycles\": {}, \"sweep_s\": {:.6}, \
+             \"compiled_s\": {:.6}, \"compiled_speedup\": {:.3}, \
              \"compiled_cycles_per_s\": {:.0}, \
-             \"slack_event_sim_s\": {:.6}, \"slack_compiled_sim_s\": {:.6}, \
+             \"slack_sweep_sim_s\": {:.6}, \"slack_compiled_sim_s\": {:.6}, \
              \"slack_speedup\": {:.3}, \
              \"engines_bit_identical\": {}, \"slack_trials\": {}, \"slack_trials_pruned\": {}, \
              \"slack_buffers\": {}, \"slack_jobs_identical\": {}, \
@@ -386,12 +351,10 @@ fn main() -> Result<(), CompareError> {
             r.name,
             r.cycles,
             r.sweep_s,
-            r.event_s,
             r.compiled_s,
-            r.event_speedup(),
             r.compiled_speedup(),
             r.compiled_cps(),
-            r.slack_event_sim_s,
+            r.slack_sweep_sim_s,
             r.slack_compiled_sim_s,
             r.slack_speedup(),
             r.engines_identical,

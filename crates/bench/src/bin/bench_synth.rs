@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Writes `BENCH_synth.json` (per-kernel wall clocks, speedups, LUT/cut
-//! statistics and the identity verdicts) and prints a table. `--jobs`
-//! picks the headline parallel lane (default 4 — it must be one of the
-//! swept counts 1/2/4/8).
+//! statistics and the identity verdicts) and prints a table. `--repeats`
+//! sets the runs per lane (default 3) and `--jobs` picks the headline
+//! parallel lane (default 4 — it must be one of the swept counts
+//! 1/2/4/8); a malformed or zero count exits with code 2.
 //!
 //! With `--baseline FILE`, the previously committed `BENCH_synth.json` is
 //! read *before* the fresh run overwrites it, and the run fails if any
@@ -22,7 +23,7 @@
 //! mapping-semantics change — the head-room only forgives intentional
 //! changes committed together with a refreshed baseline.
 
-use frequenz_bench::CompareError;
+use frequenz_bench::{arg_value, count_from_args, repeats_from_args, CompareError};
 use lutmap::{map_netlist, map_netlist_reference, map_netlist_with_seed, MapOptions};
 use netlist::{elaborate, match_netlists, Netlist};
 use std::time::Instant;
@@ -63,24 +64,11 @@ impl Row {
     }
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 /// Minimum wall clock of `repeats` runs of `f`.
 fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut out = None;
-    for _ in 0..repeats.max(1) {
+    for _ in 0..repeats {
         let t = Instant::now();
         let v = f();
         best = best.min(t.elapsed().as_secs_f64());
@@ -129,12 +117,8 @@ fn kernel_netlist(kernel: &hls::Kernel) -> Netlist {
 }
 
 fn main() -> Result<(), CompareError> {
-    let repeats: usize = arg_value("--repeats")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let headline_jobs: usize = arg_value("--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let repeats = repeats_from_args();
+    let headline_jobs = count_from_args(&["--jobs"], 4);
     if !SWEEP.contains(&headline_jobs) {
         return Err(format!("--jobs must be one of {SWEEP:?}, got {headline_jobs}").into());
     }

@@ -1,6 +1,7 @@
 //! Benchmark harness: the shared Prev-vs-Iter comparison runner used by
 //! the table/figure regeneration binaries (`table1`, `figure5`, the
-//! ablations) and the Criterion benches.
+//! ablations), and the command-line parsing shared with the lane benches
+//! (`bench_milp`, `bench_sim`, `bench_synth`).
 //!
 //! Comparisons run **in parallel** across kernels ([`parallel_map`],
 //! `--jobs N` in every binary) with a per-kernel [`SynthCache`] shared by
@@ -13,7 +14,7 @@ use frequenz_core::{
     FlowOptions, FlowResult, FlowTrace, SimStats, SynthCache,
 };
 use hls::Kernel;
-use sim::Simulator;
+use sim::{SimEngine, Simulator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -115,14 +116,27 @@ where
 
 /// Parses `--jobs N` (or `-j N`, `--jobs=N`) from the process arguments;
 /// defaults to the machine's available parallelism. A malformed or zero
-/// job count prints the reason and exits with code 2.
+/// job count prints the reason and exits with code 2: the worker pools
+/// need at least one thread, as [`FlowOptions::validate`] requires.
 pub fn jobs_from_args() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    count_from_args(JOBS_FLAGS, cores)
+}
+
+/// Parses `--repeats N` (or `--repeats=N`) from the process arguments;
+/// defaults to 3. A malformed or zero count prints the reason and exits
+/// with code 2.
+pub fn repeats_from_args() -> usize {
+    count_from_args(&["--repeats"], 3)
+}
+
+/// The count named by the first of `flags` in the process arguments, or
+/// `default` if none is given. A malformed or zero count prints the
+/// reason and exits with code 2.
+pub fn count_from_args(flags: &[&str], default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    match parse_jobs(&args) {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+    match parse_count(&args, flags) {
+        Ok(n) => n.unwrap_or(default),
         Err(msg) => {
             eprintln!("error: {msg}");
             std::process::exit(2);
@@ -130,32 +144,49 @@ pub fn jobs_from_args() -> usize {
     }
 }
 
-/// The job count named by the first `--jobs N`, `-j N` or `--jobs=N` in
-/// `args`, or `None` if there is none.
+/// The spellings [`jobs_from_args`] accepts.
+const JOBS_FLAGS: &[&str] = &["--jobs", "-j"];
+
+/// The count named by the first `FLAG N` or `FLAG=N` in `args` with
+/// `FLAG` one of `flags`, or `None` if there is none.
 ///
 /// # Errors
 ///
-/// A flag without a value, a value that is not an unsigned integer, or 0:
-/// the worker pools need at least one thread, as
-/// [`FlowOptions::validate`] requires.
-fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
+/// A flag without a value, a value that is not an unsigned integer, or 0.
+fn parse_count(args: &[String], flags: &[&str]) -> Result<Option<usize>, String> {
     let mut args = args.iter();
     while let Some(a) = args.next() {
-        let (flag, value) = if a == "--jobs" || a == "-j" {
+        let (flag, value) = if flags.contains(&a.as_str()) {
             let value = args.next().ok_or_else(|| format!("{a} needs a value"))?;
             (a.as_str(), value.as_str())
-        } else if let Some(value) = a.strip_prefix("--jobs=") {
-            ("--jobs", value)
+        } else if let Some((flag, value)) = a.split_once('=').filter(|(f, _)| flags.contains(f)) {
+            (flag, value)
         } else {
             continue;
         };
         return match value.parse::<usize>() {
-            Ok(0) => Err(format!("{flag} 0: need at least one job")),
+            Ok(0) => Err(format!("{flag} 0: must be at least 1")),
             Ok(n) => Ok(Some(n)),
             Err(_) => Err(format!("{flag} {value:?}: not an unsigned integer")),
         };
     }
     Ok(None)
+}
+
+/// The value of the first `FLAG VALUE` or `FLAG=VALUE` in the process
+/// arguments, or `None` if `flag` is not given (a trailing `flag` with
+/// no value also reads as absent).
+pub fn arg_value(flag: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    for (i, a) in args.iter().enumerate() {
+        if a == flag {
+            return args.get(i + 1).cloned();
+        }
+        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
+            return Some(v.to_string());
+        }
+    }
+    None
 }
 
 /// Asserts that `result`'s circuit still computes the kernel's reference
@@ -169,7 +200,7 @@ pub fn verify_outputs(kernel: &Kernel, result: &FlowResult) -> Result<(), Compar
 }
 
 /// [`verify_outputs`] with instrumentation: the verification run's wall
-/// clock and executed cycles are tallied into `sim`.
+/// clock, executed cycles and bytecode compile are tallied into `sim`.
 ///
 /// # Errors
 ///
@@ -179,7 +210,8 @@ pub fn verify_outputs_traced(
     result: &FlowResult,
     sim: &mut SimStats,
 ) -> Result<(), CompareError> {
-    let mut s = Simulator::new(&result.graph)?;
+    let mut s = Simulator::with_engine(&result.graph, SimEngine::Compiled)?;
+    sim.compiles += 1;
     let t = Instant::now();
     let res = s.run(kernel.max_cycles * 8);
     sim.tally(t.elapsed(), s.cycle());
@@ -558,12 +590,20 @@ mod tests {
         assert_eq!(parallel_map(&one, 64, |&x| x + 1), vec![8]);
     }
 
-    fn jobs(args: &[&str]) -> Result<Option<usize>, String> {
+    fn count(flags: &[&str], args: &[&str]) -> Result<Option<usize>, String> {
         let args: Vec<String> = std::iter::once("table1")
             .chain(args.iter().copied())
             .map(String::from)
             .collect();
-        parse_jobs(&args)
+        parse_count(&args, flags)
+    }
+
+    fn jobs(args: &[&str]) -> Result<Option<usize>, String> {
+        count(JOBS_FLAGS, args)
+    }
+
+    fn repeats(args: &[&str]) -> Result<Option<usize>, String> {
+        count(&["--repeats"], args)
     }
 
     #[test]
@@ -587,6 +627,34 @@ mod tests {
         ];
         for args in bad {
             assert!(jobs(args).is_err(), "{args:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn parse_repeats_reads_both_spellings() {
+        assert_eq!(repeats(&[]), Ok(None));
+        assert_eq!(
+            repeats(&["--out", "x.json", "--baseline", "y.json"]),
+            Ok(None)
+        );
+        assert_eq!(repeats(&["--repeats", "1"]), Ok(Some(1)));
+        assert_eq!(repeats(&["--repeats=5", "--out", "x.json"]), Ok(Some(5)));
+        // Another flag's count is not a repeat count.
+        assert_eq!(repeats(&["--jobs", "4"]), Ok(None));
+    }
+
+    #[test]
+    fn parse_repeats_rejects_malformed_counts() {
+        let bad: [&[&str]; 6] = [
+            &["--repeats", "abc"],
+            &["--repeats", "0"],
+            &["--repeats=0"],
+            &["--repeats", "-1"],
+            &["--repeats"],
+            &["--repeats="],
+        ];
+        for args in bad {
+            assert!(repeats(args).is_err(), "{args:?} was accepted");
         }
     }
 

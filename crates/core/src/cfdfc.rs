@@ -144,11 +144,7 @@ mod tests {
     fn profiling_engine_never_changes_the_weights() {
         let k = kernels::gsumif(8);
         let mut per_engine = Vec::new();
-        for engine in [
-            SimEngine::FullSweep,
-            SimEngine::EventDriven,
-            SimEngine::Compiled,
-        ] {
+        for engine in [SimEngine::FullSweep, SimEngine::Compiled] {
             let mut sim = SimStats::default();
             let cfdfcs = extract_cfdfcs_traced(
                 k.graph(),
@@ -171,7 +167,6 @@ mod tests {
             );
         }
         assert_eq!(per_engine[0], per_engine[1]);
-        assert_eq!(per_engine[0], per_engine[2]);
     }
 
     #[test]

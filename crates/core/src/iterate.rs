@@ -52,9 +52,9 @@ pub struct FlowOptions {
     /// Run the shared slack-matching pass after placement (both flows).
     pub slack_matching: bool,
     /// Simulation engine for every simulation-driven step (CFDFC
-    /// profiling, slack matching). Engines are bit-identical — this is a
-    /// speed knob; the compiled default is what keeps slack-matching
-    /// trials cheap.
+    /// profiling, slack matching, measurement). The compiled default is
+    /// the production engine; [`sim::SimEngine::FullSweep`] is its
+    /// bit-identical oracle, selected only to check a flow against it.
     pub sim_engine: sim::SimEngine,
     /// The MILP objective (Eq. 3 by default; area-only for the ablation).
     pub objective: crate::place::Objective,

@@ -67,7 +67,7 @@ pub use report::{
     MeasureError,
 };
 pub use sim::{SimEngine, SimOptions};
-pub use slack::{slack_match, slack_match_traced, slack_match_with_cache, SlackOptions};
+pub use slack::{slack_match, slack_match_traced, SlackOptions};
 pub use synth::{
     synthesize, synthesize_opts, SynthCache, SynthDelta, SynthHandle, SynthOptions, Synthesis,
 };

@@ -376,8 +376,8 @@ pub fn place_buffers(p: &PlacementProblem<'_>) -> Result<PlacementResult, PlaceE
 /// the *iteration-stable* identity of the placement problem. The Fig.-4
 /// loop re-solves the same kernel with drifting penalties, fixed sets,
 /// and cut channels — all of which change the model's variable set — so
-/// keying on the model shape ([`milp::shape_key`]) forfeits nearly every
-/// cross-iteration warm start. This key instead hashes what does not
+/// a key over the model's shape (sense, variable names, integrality)
+/// would forfeit nearly every cross-iteration warm start. This key instead hashes what does not
 /// drift: the objective kind, the level target, the objective weights,
 /// the graph size, and the CFDFC channel structure. A stale entry under
 /// this looser key is harmless: the stored basis and incumbent are

@@ -24,8 +24,8 @@
 //! base circuit to bytecode **once** ([`sim::Program`]) and every profile
 //! and trial overlays its buffer set on a shared read-only [`Arc`] of that
 //! program ([`CompiledSim::with_buffers`]) — no per-trial graph clone, no
-//! adjacency rebuild, no hash lookups in the cycle loop. The engines are
-//! bit-identical (enforced by the three-way oracle in
+//! adjacency rebuild, no hash lookups in the cycle loop. The full-sweep
+//! oracle ([`SimEngine::FullSweep`]) is bit-identical to it (enforced by
 //! `tests/sim_equivalence.rs`), so the engine choice can never change the
 //! chosen buffer set — only how fast it arrives.
 //!
@@ -59,10 +59,10 @@ pub struct SlackOptions {
     /// applied in fixed candidate order, so any job count produces the
     /// same buffer set — this is purely a throughput knob.
     pub jobs: usize,
-    /// Simulation engine for profiles and trials. All engines are
-    /// bit-identical; [`SimEngine::Compiled`] (the default here) compiles
-    /// the circuit once per pass and shares the program across trial
-    /// threads, which is what makes large candidate rounds cheap.
+    /// Simulation engine for profiles and trials. [`SimEngine::Compiled`]
+    /// (the default) compiles the circuit once per pass and shares the
+    /// program across trial threads, which is what makes large candidate
+    /// rounds cheap; [`SimEngine::FullSweep`] is its bit-identical oracle.
     pub engine: SimEngine,
 }
 
@@ -91,11 +91,11 @@ fn slack_jobs() -> usize {
 }
 
 /// How one pass instantiates simulators: a bytecode program compiled once
-/// and shared (buffer sets overlaid per run), or per-run interpreted
+/// and shared (buffer sets overlaid per run), or per-run full-sweep
 /// simulators over freshly buffered graph clones.
 enum SimFactory<'g> {
     Compiled(Arc<Program>),
-    Interpreted(&'g Graph, SimEngine),
+    Interpreted(&'g Graph),
 }
 
 /// A simulator of either flavor, unified just enough for this pass.
@@ -124,7 +124,7 @@ impl<'g> SimFactory<'g> {
                 sim.compiles += 1;
                 Ok(SimFactory::Compiled(prog))
             }
-            other => Ok(SimFactory::Interpreted(base, other)),
+            SimEngine::FullSweep => Ok(SimFactory::Interpreted(base)),
         }
     }
 }
@@ -143,9 +143,9 @@ fn run_with<T>(
             let res = vm.run(budget).map(|r| r.cycles);
             Ok(inspect(res, &TrialSim::Compiled(Box::new(vm))))
         }
-        SimFactory::Interpreted(base, engine) => {
+        SimFactory::Interpreted(base) => {
             let g = apply_buffers(base, bufs);
-            let mut s = Simulator::with_engine(&g, *engine)?;
+            let mut s = Simulator::with_engine(&g, SimEngine::FullSweep)?;
             let res = s.run(budget).map(|r| r.cycles);
             Ok(inspect(res, &TrialSim::Interpreted(Box::new(s))))
         }
@@ -325,30 +325,18 @@ pub fn slack_match(
     buffers: &[ChannelId],
     opts: &SlackOptions,
 ) -> Result<Vec<ChannelId>, FlowError> {
-    slack_match_with_cache(base, buffers, opts, &SynthCache::new())
+    let cache = SynthCache::new();
+    slack_match_traced(base, buffers, opts, &cache, &mut FlowTrace::default())
 }
 
-/// [`slack_match`] with a caller-owned synthesis cache.
+/// [`slack_match`] with a caller-owned synthesis cache and
+/// instrumentation: accumulates the pass wall clock into `trace.slack`,
+/// the simulator sub-lane into `trace.sim` (runs/cycles/compiles
+/// included), and the trial/pruned counters.
 ///
 /// The pass re-synthesizes every accepted candidate to re-check the level
 /// budget; probing the same buffer set twice (or re-checking the set the
 /// enclosing flow just synthesized) then hits the cache.
-///
-/// # Errors
-///
-/// Same contract as [`slack_match`].
-pub fn slack_match_with_cache(
-    base: &Graph,
-    buffers: &[ChannelId],
-    opts: &SlackOptions,
-    cache: &SynthCache,
-) -> Result<Vec<ChannelId>, FlowError> {
-    slack_match_traced(base, buffers, opts, cache, &mut FlowTrace::default())
-}
-
-/// [`slack_match_with_cache`] with instrumentation: accumulates the pass
-/// wall clock into `trace.slack`, the simulator sub-lane into `trace.sim`
-/// (runs/cycles/compiles included), and the trial/pruned counters.
 ///
 /// # Errors
 ///
@@ -535,11 +523,7 @@ mod tests {
     #[test]
     fn stall_profile_identifies_hotspots() {
         let k = kernels::matrix(4);
-        for engine in [
-            SimEngine::FullSweep,
-            SimEngine::EventDriven,
-            SimEngine::Compiled,
-        ] {
+        for engine in [SimEngine::FullSweep, SimEngine::Compiled] {
             let (cycles, stalls, _) =
                 profile_once(k.graph(), k.back_edges(), k.max_cycles * 4, engine);
             assert!(cycles.is_some());
@@ -620,9 +604,9 @@ mod tests {
         let x = g.add_unit(UnitKind::Exit, "x", bb, 8).unwrap();
         g.connect(PortRef::new(a, 0), PortRef::new(u, 0)).unwrap();
         g.connect(PortRef::new(u, 0), PortRef::new(x, 0)).unwrap();
-        // No validate(): port 1 of `u` dangles. Both engine families must
-        // report it as FlowError::Simulation, never panic.
-        for engine in [SimEngine::Compiled, SimEngine::EventDriven] {
+        // No validate(): port 1 of `u` dangles. Both engines must report
+        // it as FlowError::Simulation, never panic.
+        for engine in [SimEngine::Compiled, SimEngine::FullSweep] {
             let opts = SlackOptions {
                 engine,
                 ..SlackOptions::default()

@@ -146,4 +146,4 @@ pub use model::{
 };
 pub use presolve::PresolveReport;
 pub use simplex::WarmBasis;
-pub use warm::{shape_key, MilpWarmStore, WarmStart};
+pub use warm::{MilpWarmStore, WarmStart};

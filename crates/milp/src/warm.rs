@@ -9,16 +9,14 @@
 //! near-perfect starting point for iteration *i+1*, and its incumbent an
 //! immediate pruning bound.
 //!
-//! The store is keyed by whatever `u64` the caller supplies. [`shape_key`]
-//! — an FNV-1a fingerprint of the model's *shape* (sense, variable names,
-//! integrality pattern) — is the strict choice: entries only ever match a
-//! structurally identical model. Callers whose models *drift* between
-//! solves (the placement MILP gains and loses candidate variables as cut
-//! channels move) should instead key on the stable identity of the
-//! underlying problem and record [`WarmStart::var_names`]; at lookup time
-//! [`WarmStart::remap_to`] translates the entry onto the new model's
-//! variable space by *name*. Loose keying is safe because nothing in an
-//! entry is ever trusted blindly:
+//! The store is keyed by whatever `u64` the caller supplies. Models that
+//! *drift* between solves (the placement MILP gains and loses candidate
+//! variables as cut channels move) are keyed on the stable identity of
+//! the underlying problem, not on the model's shape, and record
+//! [`WarmStart::var_names`]; at lookup time [`WarmStart::remap_to`]
+//! translates the entry onto the new model's variable space by *name*.
+//! Loose keying is safe because nothing in an entry is ever trusted
+//! blindly:
 //!
 //! * the **basis** is adopted only if it still refactors to a usable
 //!   (primal- or dual-feasible) point of the new model ([`WarmBasis`]
@@ -123,36 +121,6 @@ impl WarmStart {
     }
 }
 
-/// Fingerprint of a model's shape: optimization sense, variable count,
-/// per-variable name and integrality. FNV-1a over that byte stream —
-/// deterministic across runs and platforms, independent of objective
-/// coefficients, bounds, and constraint data (which drift between
-/// iterations and are revalidated at adoption time instead).
-pub fn shape_key(model: &Model) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    eat(match model.sense {
-        crate::Sense::Maximize => 1,
-        crate::Sense::Minimize => 2,
-    });
-    for b in (model.vars.len() as u64).to_le_bytes() {
-        eat(b);
-    }
-    for v in &model.vars {
-        for b in v.name.as_bytes() {
-            eat(*b);
-        }
-        eat(0xff); // name terminator, so "ab"+"c" != "a"+"bc"
-        eat(v.integer as u8);
-    }
-    h
-}
-
 #[derive(Debug, Default)]
 struct Stats {
     hits: AtomicU64,
@@ -240,25 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn shape_key_ignores_numeric_data_but_not_structure() {
-        // Same structure, different objective: same key.
-        assert_eq!(shape_key(&toy(1.0)), shape_key(&toy(7.5)));
-        // Different variable name: different key.
-        let mut other = Model::new(Sense::Maximize);
-        other.add_binary("z", 1.0);
-        other.add_binary("y", 1.0);
-        assert_ne!(shape_key(&toy(1.0)), shape_key(&other));
-        // Different integrality: different key.
-        let mut relaxed = Model::new(Sense::Maximize);
-        relaxed.add_var("x", 0.0, 1.0, 1.0, false);
-        relaxed.add_var("y", 0.0, 1.0, 1.0, true);
-        assert_ne!(shape_key(&toy(1.0)), shape_key(&relaxed));
-    }
-
-    #[test]
     fn store_counts_hits_and_misses() {
         let store = MilpWarmStore::new();
-        let key = shape_key(&toy(1.0));
+        let key = 7;
         assert!(store.get(key).is_none());
         assert_eq!(store.misses(), 1);
         store.put(
@@ -279,7 +231,7 @@ mod tests {
     fn warm_solve_with_stored_start_matches_cold() {
         let store = MilpWarmStore::new();
         let m = toy(3.0);
-        let key = shape_key(&m);
+        let key = 11;
         let cold = m.solve().unwrap();
         store.put(
             key,

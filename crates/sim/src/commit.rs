@@ -1,10 +1,9 @@
 //! Clock-edge state commit: channel buffer registers, transfer/stall
 //! counters, and per-unit sequential state.
 //!
-//! Each primitive returns `(progressed, state_changed)` so the schedulers
-//! can share the exact same next-state functions: the full sweep ignores
-//! `state_changed` and visits everything; the event-driven scheduler uses
-//! it to seed the next cycle's settle.
+//! Each primitive returns whether the circuit progressed (a token moved
+//! or a register changed); a cycle in which nothing progressed before the
+//! exit fired is a [`SimError::Deadlock`].
 
 use crate::engine::Simulator;
 use crate::state::UnitState;
@@ -13,12 +12,11 @@ use dataflow::{ChannelId, UnitId, UnitKind};
 
 impl Simulator<'_> {
     /// Commits one channel: transfer/stall counters plus the TEHB/OEHB
-    /// registers. Returns `(progressed, state_changed)`.
-    pub(crate) fn commit_channel(&mut self, cid: ChannelId) -> (bool, bool) {
+    /// registers. Returns whether it progressed.
+    pub(crate) fn commit_channel(&mut self, cid: ChannelId) -> bool {
         let spec = self.idx.spec[cid.index()];
         let s = self.sig[cid.index()];
         let mut progressed = false;
-        let mut state_changed = false;
         if s.valid_src && s.ready_src {
             self.transfers[cid.index()] += 1;
             progressed = true;
@@ -52,19 +50,17 @@ impl Simulator<'_> {
             if next.tehb_full != st.tehb_full || next.oehb_vld != st.oehb_vld {
                 progressed = true;
             }
-            state_changed = next != st;
             self.chan[cid.index()] = next;
         }
-        (progressed, state_changed)
+        progressed
     }
 
     /// Commits one unit's sequential state (and, for memory ports, the
-    /// memory itself). Returns `(progressed, state_changed)`.
-    pub(crate) fn commit_unit(&mut self, uid: UnitId) -> Result<(bool, bool), SimError> {
+    /// memory itself). Returns whether it progressed.
+    pub(crate) fn commit_unit(&mut self, uid: UnitId) -> Result<bool, SimError> {
         let kind = self.idx.kind[uid.index()];
         let w = self.idx.width[uid.index()];
         let mut progressed = false;
-        let mut changed = false;
         match kind {
             UnitKind::Entry | UnitKind::Argument { .. } => {
                 let cid = self.out_ch(uid, 0);
@@ -73,7 +69,6 @@ impl Simulator<'_> {
                     if !*fired && s.valid_src && s.ready_src {
                         *fired = true;
                         progressed = true;
-                        changed = true;
                     }
                 }
             }
@@ -101,13 +96,8 @@ impl Simulator<'_> {
                         let done = *slot;
                         let transfer = vin && !done && self.oready(uid, i);
                         let next = (done || transfer) && !fire_all;
-                        if next != done {
-                            changed = true;
-                        }
+                        progressed |= next != done;
                         *slot = next;
-                    }
-                    if changed {
-                        progressed = true;
                     }
                     self.unit[uid.index()] = UnitState::ForkDone(dones);
                 } else {
@@ -150,10 +140,7 @@ impl Simulator<'_> {
                     dones: new_dones,
                     grant: new_grant,
                 };
-                if self.unit[uid.index()] != new_state {
-                    progressed = true;
-                    changed = true;
-                }
+                progressed = self.unit[uid.index()] != new_state;
                 self.unit[uid.index()] = new_state;
                 self.scratch = valids;
             }
@@ -167,18 +154,12 @@ impl Simulator<'_> {
                 // skips the commit instead of panicking at the clock edge.
                 if let UnitState::Pipe(stages) = &mut self.unit[uid.index()] {
                     let Some(&(last_v, _)) = stages.last() else {
-                        return Ok((progressed, changed));
+                        return Ok(progressed);
                     };
                     let en = rout || !last_v;
                     if en {
                         for k in (1..stages.len()).rev() {
-                            if stages[k] != stages[k - 1] {
-                                changed = true;
-                            }
                             stages[k] = stages[k - 1];
-                        }
-                        if stages[0] != (all, result) {
-                            changed = true;
                         }
                         stages[0] = (all, result);
                         if all || stages.iter().any(|(v, _)| *v) {
@@ -212,10 +193,7 @@ impl Simulator<'_> {
                             v: vin,
                             data: value,
                         };
-                        if self.unit[uid.index()] != new {
-                            progressed = true;
-                            changed = true;
-                        }
+                        progressed = self.unit[uid.index()] != new;
                         self.unit[uid.index()] = new;
                     }
                 }
@@ -243,18 +221,13 @@ impl Simulator<'_> {
                     }
                     if en {
                         let new = UnitState::MemPort { v: take, data: 0 };
-                        if self.unit[uid.index()] != new {
-                            changed = true;
-                            progressed = true;
-                        } else if take {
-                            progressed = true;
-                        }
+                        progressed = take || self.unit[uid.index()] != new;
                         self.unit[uid.index()] = new;
                     }
                 }
             }
             _ => {}
         }
-        Ok((progressed, changed))
+        Ok(progressed)
     }
 }

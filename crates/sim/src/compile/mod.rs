@@ -1,9 +1,8 @@
 //! Compiled simulation backend: a one-time lowering of a dataflow graph
 //! into flat bytecode, executed by a tight decode loop.
 //!
-//! The interpreted engines ([`crate::engine::SimEngine::FullSweep`] and
-//! [`crate::engine::SimEngine::EventDriven`]) re-dispatch on
-//! [`dataflow::UnitKind`] and chase `Option<ChannelId>` port lookups every
+//! The full-sweep interpreter ([`crate::engine::SimEngine::FullSweep`])
+//! re-dispatches on [`dataflow::UnitKind`] and chases port lookups every
 //! cycle. This module pays those costs exactly once:
 //!
 //! * [`Program::compile`] lowers each unit to one fixed-size instruction —
@@ -11,18 +10,18 @@
 //!   of preresolved channel indices and sequential-state slots (struct-of-
 //!   arrays, no per-unit allocation).
 //! * [`CompiledSim`] executes the program with SoA signal vectors and
-//!   dense `u64` dirty bitmasks in place of the interpreted engines'
-//!   epoch-deduped worklists. A program is immutable and `Arc`-shared:
+//!   dense `u64` dirty bitmasks in place of the interpreter's
+//!   worklist. A program is immutable and `Arc`-shared:
 //!   slack matching compiles one program per placement and runs hundreds
 //!   of buffer-overlay trials against it from multiple threads without
 //!   re-flattening the graph.
 //!
-//! Semantics are *defined* by the interpreted engines: every evaluation
-//! and commit function here mirrors [`crate::eval`]/[`crate::commit`]
+//! Semantics are *defined* by the interpreter: every evaluation and
+//! commit function here mirrors [`crate::eval`]/[`crate::commit`]
 //! statement for statement, and `tests/sim_equivalence.rs` pins the
-//! three-way bit-identity (same `RunStats`, per-channel counters, memory
-//! images, error variants, and error precedence) on proptest DFGs and all
-//! evaluation kernels.
+//! bit-identity (same `RunStats`, per-channel counters, per-cycle
+//! handshake view, memory images, error variants, and error precedence)
+//! on proptest DFGs and all evaluation kernels.
 
 mod program;
 mod vm;

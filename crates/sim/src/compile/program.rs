@@ -187,11 +187,10 @@ pub struct Program {
     /// Units the VM commits every cycle regardless of settle activity,
     /// one bit per unit: entries (token-issue latches), exits (completion
     /// observers) and memory ports (a load must observe stores committed
-    /// in the same cycle even when none of its own signals changed) —
-    /// the same set the event engine always commits.
+    /// in the same cycle even when none of its own signals changed).
     pub(crate) always_mask: Vec<u64>,
-    /// Per-settle evaluation cap — same formula as the interpreted
-    /// engines, so `NoFixpoint` stays engine-invariant.
+    /// Per-settle evaluation cap — same formula as the interpreter, so
+    /// `NoFixpoint` stays engine-invariant.
     pub(crate) fixpoint_limit: usize,
 }
 

@@ -3,18 +3,18 @@
 //!
 //! Every evaluation/commit function below mirrors the interpreted
 //! semantics in [`crate::eval`] and [`crate::commit`] statement for
-//! statement — the interpreted engines are the specification, this VM is
-//! the fast path. Scheduling differs (bitmask scan instead of a LIFO
-//! worklist; a change-driven commit instead of the event engine's
-//! liveness-driven active sets) but both reach the same unique handshake
-//! fixpoint and commit the same next state, so all observables (run
-//! results, counters, memory images, error variants and their precedence)
-//! are bit-identical.
+//! statement — the full-sweep interpreter is the specification, this VM
+//! is the fast path. Scheduling differs (bitmask scan instead of a LIFO
+//! worklist; a change-driven commit instead of a visit of every channel
+//! and unit) but both reach the same unique handshake fixpoint and commit
+//! the same next state, so all observables (run results, counters, the
+//! per-cycle handshake view, memory images, error variants and their
+//! precedence) are bit-identical.
 //!
 //! Two structural differences make the VM's clock edge cheaper than the
-//! event engine's:
+//! interpreter's:
 //!
-//! - **Lazy counters.** The interpreted engines increment a channel's
+//! - **Lazy counters.** The interpreter increments a channel's
 //!   transfer/stall counter every cycle it holds a token. The VM instead
 //!   records which handshake *pattern* (idle / stalled / transferring)
 //!   each channel entered and at which cycle, and folds the elapsed span
@@ -29,7 +29,7 @@
 //!   only units evaluated during settle (plus the always-commit set:
 //!   entries, exits and memory ports) are visited at the clock edge. A
 //!   unit or channel whose inputs and state are unchanged commits to the
-//!   same state — a no-op the dense engines pay for every cycle. Bitmask
+//!   same state — a no-op the interpreter pays for every cycle. Bitmask
 //!   scans keep the visit order ascending, so memory effects and error
 //!   precedence still match the full-sweep oracle exactly.
 
@@ -134,7 +134,7 @@ pub struct CompiledSim {
     /// moving even in cycles where no register changes state.
     num_xfer: usize,
     /// 1 after a mid-commit abort whose channel phase already counted the
-    /// aborted cycle: the dense engines run the full channel phase before
+    /// aborted cycle: the interpreter runs the full channel phase before
     /// a unit commit can fail, without advancing the cycle counter, and
     /// the lazy accessors must report the same totals.
     cnt_bias: u64,
@@ -562,7 +562,7 @@ impl CompiledSim {
     /// Combinational fixpoint: drains the dirty bitmask (seeded on cycle 0
     /// by everything, afterwards by last commit's state changes) until a
     /// full pass finds no set bit, with the same evaluation budget as the
-    /// interpreted engines.
+    /// interpreter.
     fn settle(&mut self, p: &Program) -> Result<(), SimError> {
         let nu = p.num_units();
         let nc = p.num_channels();
@@ -575,8 +575,8 @@ impl CompiledSim {
                     *last = (1u64 << (nu % 64)) - 1;
                 }
             }
-            // The first clock edge visits every channel, like the dense
-            // engines' first commit.
+            // The first clock edge visits every channel, like the
+            // interpreter's first commit.
             for w in self.ch_commit.iter_mut() {
                 *w = u64::MAX;
             }
@@ -1111,8 +1111,8 @@ impl CompiledSim {
     /// writes only the unit's *input* readies, skipping the datapath
     /// (`alu`) and every `set_out`. Each arm is the literal ready half
     /// of the matching [`CompiledSim::eval_unit`] arm; keep them in
-    /// lockstep. The three-way engine-equivalence oracle exercises this
-    /// pairing on every kernel and proptest.
+    /// lockstep. The engine-equivalence suite exercises this pairing on
+    /// every kernel and proptest.
     fn eval_unit_ready(&mut self, p: &Program, u: usize) {
         debug_assert!(u < p.instrs.len());
         let i = unsafe { p.instrs.get_unchecked(u) };
@@ -1347,8 +1347,8 @@ impl CompiledSim {
     /// visit order as the full-sweep oracle over the entities that can
     /// act, so memory effects and error precedence match it exactly.
     /// Entities skipped here have unchanged inputs and state since their
-    /// last visit, which makes their commit a no-op (the dense engines
-    /// execute those no-ops; the counters they would touch accrue lazily
+    /// last visit, which makes their commit a no-op (the interpreter
+    /// executes those no-ops; the counters they would touch accrue lazily
     /// through `cnt_pat`/`cnt_since`). State changes mark their
     /// channel/unit for the next settle *and* the next commit.
     fn commit(&mut self, p: &Program) -> Result<bool, SimError> {
@@ -1367,7 +1367,7 @@ impl CompiledSim {
             }
         }
         // Channels still in the transfer pattern moved a token this cycle
-        // even if nothing changed state (the dense engines count those
+        // even if nothing changed state (the interpreter counts those
         // transfers one cycle at a time).
         progressed |= self.num_xfer > 0;
         for wi in 0..self.evaled.len() {
@@ -1387,8 +1387,8 @@ impl CompiledSim {
                     Err(e) => {
                         // The channel phase above already counted this
                         // cycle; `self.cycle` will not advance. Bias the
-                        // lazy accessors so totals match the dense
-                        // engines' counters at the abort point.
+                        // lazy accessors so totals match the
+                        // interpreter's counters at the abort point.
                         self.cnt_bias = 1;
                         return Err(e);
                     }

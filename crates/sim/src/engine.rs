@@ -1,34 +1,23 @@
-//! The simulation engine: three scheduling strategies over one shared
-//! semantics.
+//! The simulation engine: two executions of one shared semantics.
 //!
-//! All engines compute the same two-phase cycle — a combinational
+//! Both engines compute the same two-phase cycle — a combinational
 //! handshake fixpoint ([`crate::eval`]) followed by a clock-edge state
-//! commit ([`crate::commit`]) — and differ only in *how* units and
-//! channels are visited:
+//! commit ([`crate::commit`]):
 //!
-//! * [`SimEngine::FullSweep`] re-queues every unit and re-derives every
-//!   channel at the start of each settle, and commits every channel and
-//!   unit at each edge. It is the original engine, kept as the oracle.
-//! * [`SimEngine::EventDriven`] (the default) keeps a persistent dirty
-//!   set: a settle is seeded only by the channels whose buffer registers
-//!   and the units whose sequential state changed at the previous clock
-//!   edge, and changes propagate along the precomputed adjacency index
-//!   ([`crate::index`]). The commit visits only channels holding a live
-//!   token (`valid_src` or occupied TEHB/OEHB), the units evaluated this
-//!   settle, and a small always-commit set (entry latches, the exit
-//!   observer, and memory ports — see `AdjIndex::always_commit`), in
-//!   ascending unit order so memory effects and error precedence match
-//!   the sweep exactly. Settle and commit cost then scale with circuit
-//!   *activity* instead of circuit *size*.
-//! * [`SimEngine::Compiled`] lowers the graph once into flat bytecode
-//!   ([`crate::compile`]) and executes it with SoA state and dense dirty
-//!   bitmasks — no per-cycle `UnitKind` dispatch or port lookups. The
-//!   program is `Arc`-shared read-only across slack-trial threads.
+//! * [`SimEngine::Compiled`] (the default) lowers the graph once into flat
+//!   bytecode ([`crate::compile`]) and executes it with SoA state and
+//!   dense dirty bitmasks — no per-cycle `UnitKind` dispatch or port
+//!   lookups. The program is `Arc`-shared read-only across slack-trial
+//!   threads.
+//! * [`SimEngine::FullSweep`] interprets the graph directly: it re-queues
+//!   every unit and re-derives every channel at the start of each settle,
+//!   and commits every channel and unit at each edge. It is the original
+//!   engine, kept as the oracle.
 //!
 //! The engines are bit-identical on [`RunStats`], per-channel
-//! transfer/stall counters, memory images, and every error case;
-//! `tests/sim_equivalence.rs` pins the three-way identity on randomized
-//! graphs and all evaluation kernels.
+//! transfer/stall counters, memory images, the per-cycle handshake view,
+//! and every error case; `tests/sim_equivalence.rs` pins the identity on
+//! randomized graphs and all evaluation kernels.
 
 use crate::compile::{CompiledSim, Program};
 use crate::index::AdjIndex;
@@ -37,16 +26,15 @@ use crate::types::{RunStats, SimError};
 use dataflow::{ChannelId, Graph, MemoryId, UnitId, UnitKind};
 use std::sync::Arc;
 
-/// Scheduling strategy of a [`Simulator`].
+/// Execution strategy of a [`Simulator`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimEngine {
-    /// Persistent dirty-set interpreter; cost scales with activity.
-    #[default]
-    EventDriven,
     /// Re-evaluates everything every cycle; the oracle engine.
     FullSweep,
-    /// One-time bytecode compile, tight decode-loop execution; the fast
-    /// path for simulation-heavy passes (slack trials, measurement).
+    /// One-time bytecode compile, tight decode-loop execution; the
+    /// production path of every pass (profiling, slack trials,
+    /// verification, measurement).
+    #[default]
     Compiled,
 }
 
@@ -103,10 +91,9 @@ pub(crate) fn state_consistent(kind: &UnitKind, st: &UnitState) -> bool {
 #[derive(Debug)]
 pub struct Simulator<'g> {
     g: &'g Graph,
-    engine: SimEngine,
-    /// Present iff `engine == SimEngine::Compiled`; every public accessor
-    /// dispatches to it before touching the interpreted state (which is
-    /// left empty under the compiled engine).
+    /// Present iff the engine is [`SimEngine::Compiled`]; every public
+    /// accessor dispatches to it before touching the interpreted state
+    /// (which is left empty under the compiled engine).
     vm: Option<CompiledSim>,
     pub(crate) idx: AdjIndex,
     pub(crate) args: Vec<u64>,
@@ -119,30 +106,18 @@ pub struct Simulator<'g> {
     cycle: u64,
     pub(crate) exit_value: Option<u64>,
     pub(crate) exited: bool,
-    /// Settle worklist: units awaiting (re-)evaluation. Persists across
-    /// cycles under the event-driven engine — commit-time state changes
-    /// mark their unit here for the next settle.
+    /// Settle worklist: units awaiting (re-)evaluation.
     dirty_unit: Vec<bool>,
     unit_queue: Vec<UnitId>,
     /// Channels whose signals were touched by a unit this settle.
     pub(crate) touched: Vec<ChannelId>,
-    /// Event engine: units evaluated this settle (committed this cycle).
-    evaled: Vec<bool>,
-    commit_units: Vec<UnitId>,
-    /// Event engine: channels whose buffer state changed at the last
-    /// commit; they seed the next settle.
-    chan_dirty: Vec<bool>,
-    chan_seed: Vec<ChannelId>,
-    /// Event engine: channels holding a live token (valid_src or occupied
-    /// buffer); only these can move counters or buffer state at a commit.
-    chan_active: Vec<bool>,
-    active_chans: Vec<ChannelId>,
     /// Reusable valid/ready staging buffer for the evaluators.
     pub(crate) scratch: Vec<bool>,
 }
 
 impl<'g> Simulator<'g> {
-    /// Prepares an event-driven simulator with all state at reset.
+    /// Prepares a simulator on the default (compiled) engine with all
+    /// state at reset.
     ///
     /// # Errors
     ///
@@ -160,8 +135,26 @@ impl<'g> Simulator<'g> {
     /// Same conditions as [`Simulator::new`].
     pub fn with_engine(g: &'g Graph, engine: SimEngine) -> Result<Self, SimError> {
         if engine == SimEngine::Compiled {
-            let prog = Arc::new(Program::compile(g)?);
-            return Ok(Self::from_compiled(g, CompiledSim::new(prog)));
+            let vm = CompiledSim::new(Arc::new(Program::compile(g)?));
+            return Ok(Simulator {
+                g,
+                vm: Some(vm),
+                idx: AdjIndex::empty(),
+                args: Vec::new(),
+                sig: Vec::new(),
+                chan: Vec::new(),
+                unit: Vec::new(),
+                mems: Vec::new(),
+                transfers: Vec::new(),
+                stalls: Vec::new(),
+                cycle: 0,
+                exit_value: None,
+                exited: false,
+                dirty_unit: Vec::new(),
+                unit_queue: Vec::new(),
+                touched: Vec::new(),
+                scratch: Vec::new(),
+            });
         }
         let mut unit = Vec::with_capacity(g.num_units());
         for (uid, u) in g.units() {
@@ -187,7 +180,6 @@ impl<'g> Simulator<'g> {
             .collect();
         Ok(Simulator {
             g,
-            engine,
             vm: None,
             idx: AdjIndex::try_build(g)?,
             args: vec![0; 256],
@@ -203,64 +195,14 @@ impl<'g> Simulator<'g> {
             dirty_unit: vec![false; g.num_units()],
             unit_queue: Vec::new(),
             touched: Vec::new(),
-            evaled: vec![false; g.num_units()],
-            commit_units: Vec::new(),
-            chan_dirty: vec![false; g.num_channels()],
-            chan_seed: Vec::new(),
-            chan_active: vec![false; g.num_channels()],
-            active_chans: Vec::new(),
             scratch: Vec::new(),
         })
     }
 
-    /// Wraps an already-constructed VM (used both by
-    /// [`Simulator::with_engine`] and to reuse an `Arc`-shared program
-    /// compiled elsewhere, e.g. once per slack-matching placement).
-    pub fn from_compiled(g: &'g Graph, vm: CompiledSim) -> Self {
-        Simulator {
-            g,
-            engine: SimEngine::Compiled,
-            vm: Some(vm),
-            idx: AdjIndex::empty(),
-            args: Vec::new(),
-            sig: Vec::new(),
-            chan: Vec::new(),
-            unit: Vec::new(),
-            mems: Vec::new(),
-            transfers: Vec::new(),
-            stalls: Vec::new(),
-            cycle: 0,
-            exit_value: None,
-            exited: false,
-            dirty_unit: Vec::new(),
-            unit_queue: Vec::new(),
-            touched: Vec::new(),
-            evaled: Vec::new(),
-            commit_units: Vec::new(),
-            chan_dirty: Vec::new(),
-            chan_seed: Vec::new(),
-            chan_active: Vec::new(),
-            active_chans: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The scheduling engine this simulator runs under.
-    pub fn engine(&self) -> SimEngine {
-        self.engine
-    }
-
-    pub(crate) fn mark_dirty(&mut self, u: UnitId) {
+    fn mark_dirty(&mut self, u: UnitId) {
         if !self.dirty_unit[u.index()] {
             self.dirty_unit[u.index()] = true;
             self.unit_queue.push(u);
-        }
-    }
-
-    fn mark_chan_seed(&mut self, cid: ChannelId) {
-        if !self.chan_dirty[cid.index()] {
-            self.chan_dirty[cid.index()] = true;
-            self.chan_seed.push(cid);
         }
     }
 
@@ -341,7 +283,7 @@ impl<'g> Simulator<'g> {
     /// exactly `max_cycles` cycles completes — [`SimError::Timeout`] is
     /// returned only when the budget is exhausted *and* the exit token has
     /// still not been consumed (`tests/sim_equivalence.rs` pins this
-    /// boundary on all three engines).
+    /// boundary on both engines).
     ///
     /// # Errors
     ///
@@ -373,16 +315,8 @@ impl<'g> Simulator<'g> {
         if let Some(vm) = self.vm.as_mut() {
             return vm.step();
         }
-        let progressed = match self.engine {
-            SimEngine::EventDriven | SimEngine::Compiled => {
-                self.settle_event()?;
-                self.commit_event()?
-            }
-            SimEngine::FullSweep => {
-                self.settle_sweep()?;
-                self.commit_sweep()?
-            }
-        };
+        self.settle_sweep()?;
+        let progressed = self.commit_sweep()?;
         self.cycle += 1;
         if !progressed && !self.exited {
             return Err(SimError::Deadlock { cycle: self.cycle });
@@ -426,8 +360,7 @@ impl<'g> Simulator<'g> {
             for &cid in &touched {
                 // Endpoints are re-queued even without a derived-signal
                 // change: the raw src-side signal may feed transfer logic
-                // of the counterpart. (The event engine instead tracks the
-                // raw signals through the commit-active channel set.)
+                // of the counterpart.
                 self.eval_channel(cid);
                 let (s, d) = self.idx.ends[cid.index()];
                 self.mark_dirty(s);
@@ -443,123 +376,11 @@ impl<'g> Simulator<'g> {
         let g = self.g;
         let mut progressed = false;
         for (cid, _) in g.channels() {
-            let (p, _) = self.commit_channel(cid);
-            progressed |= p;
+            progressed |= self.commit_channel(cid);
         }
         for (uid, _) in g.units() {
-            let (p, _) = self.commit_unit(uid)?;
-            progressed |= p;
+            progressed |= self.commit_unit(uid)?;
         }
-        Ok(progressed)
-    }
-
-    /// Event-driven settle: seeded by the channels/units whose sequential
-    /// state changed at the previous clock edge (cycle 0 seeds everything,
-    /// exactly like the sweep).
-    fn settle_event(&mut self) -> Result<(), SimError> {
-        if self.cycle == 0 {
-            let g = self.g;
-            for (uid, _) in g.units() {
-                self.mark_dirty(uid);
-            }
-            for (cid, _) in g.channels() {
-                if self.eval_channel(cid) {
-                    let (s, d) = self.idx.ends[cid.index()];
-                    self.mark_dirty(s);
-                    self.mark_dirty(d);
-                }
-            }
-        } else {
-            let mut seeds = std::mem::take(&mut self.chan_seed);
-            for &cid in &seeds {
-                self.chan_dirty[cid.index()] = false;
-                if self.eval_channel(cid) {
-                    let (s, d) = self.idx.ends[cid.index()];
-                    self.mark_dirty(s);
-                    self.mark_dirty(d);
-                }
-            }
-            seeds.clear();
-            self.chan_seed = seeds;
-        }
-        let limit = self.fixpoint_limit();
-        let mut evals = 0usize;
-        while let Some(u) = self.unit_queue.pop() {
-            self.dirty_unit[u.index()] = false;
-            evals += 1;
-            if evals > limit {
-                return Err(SimError::NoFixpoint);
-            }
-            if !self.evaled[u.index()] {
-                self.evaled[u.index()] = true;
-                self.commit_units.push(u);
-            }
-            self.touched.clear();
-            if !self.eval_unit(u) {
-                continue;
-            }
-            let touched = std::mem::take(&mut self.touched);
-            for &cid in &touched {
-                // A channel joins the commit-active set the moment its
-                // producer offers a token; it leaves at a commit that finds
-                // it idle and empty.
-                if self.sig[cid.index()].valid_src && !self.chan_active[cid.index()] {
-                    self.chan_active[cid.index()] = true;
-                    self.active_chans.push(cid);
-                }
-                if self.eval_channel(cid) {
-                    let (s, d) = self.idx.ends[cid.index()];
-                    self.mark_dirty(s);
-                    self.mark_dirty(d);
-                }
-            }
-            self.touched = touched;
-        }
-        Ok(())
-    }
-
-    /// Event-driven commit: visits the live channels and the settle's
-    /// evaluated units plus the always-commit set, in ascending unit order
-    /// (memory effects and error precedence must match the sweep).
-    fn commit_event(&mut self) -> Result<bool, SimError> {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < self.active_chans.len() {
-            let cid = self.active_chans[i];
-            let (p, state_changed) = self.commit_channel(cid);
-            progressed |= p;
-            if state_changed {
-                self.mark_chan_seed(cid);
-            }
-            let s = self.sig[cid.index()];
-            let st = self.chan[cid.index()];
-            if s.valid_src || st.tehb_full || st.oehb_vld {
-                i += 1;
-            } else {
-                self.chan_active[cid.index()] = false;
-                self.active_chans.swap_remove(i);
-            }
-        }
-        let mut list = std::mem::take(&mut self.commit_units);
-        for i in 0..self.idx.always_commit.len() {
-            let u = self.idx.always_commit[i];
-            if !self.evaled[u.index()] {
-                list.push(u);
-            }
-        }
-        list.sort_unstable_by_key(|u| u.index());
-        for &u in &list {
-            self.evaled[u.index()] = false;
-        }
-        for &u in &list {
-            let (p, changed) = self.commit_unit(u)?;
-            progressed |= p;
-            if changed {
-                self.mark_dirty(u);
-            }
-        }
-        list.clear();
-        self.commit_units = list;
         Ok(progressed)
     }
 }

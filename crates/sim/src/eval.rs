@@ -1,9 +1,10 @@
-//! Combinational evaluation: the per-unit handshake functions and the
-//! per-channel buffer-stage derivation shared by both schedulers.
+//! Combinational evaluation of the full-sweep interpreter: the per-unit
+//! handshake functions and the per-channel buffer-stage derivation.
 //!
 //! Everything here is a pure function of the signal vector and the
-//! committed sequential state; the schedulers in [`crate::engine`] decide
-//! *which* units and channels get (re-)evaluated, so bit-identity between
+//! committed sequential state; the scheduler in [`crate::engine`] decides
+//! *which* units and channels get (re-)evaluated, and the compiled engine
+//! schedules its own mirror of these functions, so bit-identity between
 //! the engines reduces to both reaching the same unique fixpoint.
 
 use crate::engine::Simulator;

@@ -1,9 +1,7 @@
 //! Precomputed adjacency index of one dataflow graph.
 //!
-//! Both interpreted schedulers propagate combinational changes *unit →
-//! touched channels → endpoint units*; the event-driven scheduler
-//! additionally seeds each cycle from channels whose buffer state changed
-//! at the clock edge. All of those hops are hot, so the graph's
+//! The full-sweep interpreter propagates combinational changes *unit →
+//! touched channels → endpoint units*. Those hops are hot, so the graph's
 //! connectivity (and the per-unit kind/width and per-channel buffer spec
 //! the evaluators consult on every call) is flattened once, at
 //! construction, into plain arrays.
@@ -34,12 +32,6 @@ pub(crate) struct AdjIndex {
     /// Flattened output ports, same layout.
     out_off: Vec<u32>,
     out_chs: Vec<ChannelId>,
-    /// Units the event-driven scheduler commits every cycle regardless of
-    /// settle activity, ascending by id: Entry/Argument (token-issue
-    /// latches), Exit (completion observer), and every memory port — a
-    /// load must observe stores committed in the same cycle even when none
-    /// of the load's own signals changed.
-    pub always_commit: Vec<UnitId>,
 }
 
 impl AdjIndex {
@@ -55,7 +47,6 @@ impl AdjIndex {
             in_chs: Vec::new(),
             out_off: vec![0],
             out_chs: Vec::new(),
-            always_commit: Vec::new(),
         }
     }
 
@@ -68,7 +59,6 @@ impl AdjIndex {
         let mut in_chs = Vec::new();
         let mut out_off = Vec::with_capacity(g.num_units() + 1);
         let mut out_chs = Vec::new();
-        let mut always_commit = Vec::new();
         for (uid, u) in g.units() {
             let k = *u.kind();
             kind.push(k);
@@ -91,16 +81,6 @@ impl AdjIndex {
                 })?;
                 out_chs.push(c);
             }
-            if matches!(
-                k,
-                UnitKind::Entry
-                    | UnitKind::Argument { .. }
-                    | UnitKind::Exit
-                    | UnitKind::Load { .. }
-                    | UnitKind::Store { .. }
-            ) {
-                always_commit.push(uid);
-            }
         }
         in_off.push(in_chs.len() as u32);
         out_off.push(out_chs.len() as u32);
@@ -120,7 +100,6 @@ impl AdjIndex {
             in_chs,
             out_off,
             out_chs,
-            always_commit,
         })
     }
 

@@ -12,14 +12,13 @@
 //! ready backward) to a fixpoint, then (2) commits all sequential state
 //! (buffer slots, fork done flags, operator pipelines, memory ports).
 //!
-//! Three scheduling engines share those semantics (see [`SimEngine`]): the
-//! default event-driven scheduler, whose per-cycle cost scales with circuit
-//! activity; the original full-sweep engine kept as a bit-identical oracle;
-//! and a compiled bytecode engine ([`SimEngine::Compiled`], see
-//! [`compile`]) that lowers the graph once and executes a tight decode
-//! loop — the fast path for simulation-heavy passes like slack-matching
-//! trials, where one [`Program`] is compiled per placement and shared
-//! read-only across trial threads.
+//! Two engines share those semantics (see [`SimEngine`]). The default,
+//! [`SimEngine::Compiled`] (see [`compile`]), lowers the graph once and
+//! executes a tight decode loop; every pass runs on it, and slack matching
+//! compiles one [`Program`] per placement and shares it read-only across
+//! trial threads. [`SimEngine::FullSweep`], the original interpreter that
+//! re-evaluates every unit each cycle, is kept as its bit-identical
+//! oracle.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Error and result types shared by all scheduling engines, plus the
+//! Error and result types shared by both engines, plus the
 //! small bit-twiddling helpers of the datapath model.
 
 use crate::engine::SimEngine;

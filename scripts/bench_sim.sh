@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
-# Benchmarks the simulation engines (compiled bytecode and event-driven
-# scheduler vs the full-sweep oracle) on the nine kernels' seeded graphs
-# and sweeps the parallel slack-matching pass across job counts, leaving
-# BENCH_sim.json behind (per-kernel cycles/second for all three engines,
-# speedups, the slack-trial lane comparison, and the bit-identity
-# verdicts). Usage:
+# Benchmarks the compiled bytecode simulation engine against the
+# full-sweep oracle on the nine kernels' seeded graphs and sweeps the
+# parallel slack-matching pass across job counts, leaving BENCH_sim.json
+# behind (per-kernel cycles/second for both engines, speedups, the
+# slack-trial lane comparison, and the bit-identity verdicts). Usage:
 #
 #   ./scripts/bench_sim.sh [--repeats N] [--out FILE] [--baseline FILE]
 #
-# Defaults: 3 repeats per engine (min reported), BENCH_sim.json in the
-# repo root. With --baseline (typically the committed BENCH_sim.json),
+# Defaults: 3 repeats per engine (min reported; a malformed or zero
+# count exits with code 2), BENCH_sim.json in the repo root. With --baseline (typically the committed BENCH_sim.json),
 # the run fails if any kernel's completion cycle count drifts by more
 # than 10% from the baseline — the baseline is read before --out is
 # overwritten, so both may name the same file.
@@ -41,8 +40,8 @@ cargo run -p frequenz-bench --release --bin bench_sim -- "${args[@]}"
 echo "wrote $out" >&2
 
 # Surface the headline numbers recorded in the JSON.
-slack=$(grep -o '"slack_sim_speedup_compiled_vs_event": [0-9.]*' "$out" | awk '{print $2}')
+slack=$(grep -o '"slack_sim_speedup_compiled_vs_sweep": [0-9.]*' "$out" | awk '{print $2}')
 gemver=$(grep -o '"gemver_compiled_speedup": [0-9.]*' "$out" | awk '{print $2}')
 engines=$(grep -o '"engines_bit_identical": \(true\|false\)' "$out" | head -1 | awk '{print $2}')
 jobs=$(grep -o '"jobs_bit_identical": \(true\|false\)' "$out" | head -1 | awk '{print $2}')
-echo "slack-lane compiled-vs-event speedup: ${slack}x, gemver compiled speedup: ${gemver}x, engines bit-identical: ${engines}, slack jobs identical: ${jobs}" >&2
+echo "slack-lane compiled-vs-sweep speedup: ${slack}x, gemver compiled speedup: ${gemver}x, engines bit-identical: ${engines}, slack jobs identical: ${jobs}" >&2

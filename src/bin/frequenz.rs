@@ -14,7 +14,7 @@ use frequenz::core::{
 use frequenz::dataflow::Graph;
 use frequenz::hls::{kernels, Kernel};
 use frequenz::netlist::write_blif;
-use frequenz::sim::{Simulator, VcdTracer};
+use frequenz::sim::{SimError, Simulator, VcdTracer};
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -135,24 +135,24 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     };
     let vcd_path = parse_flag(args, "--vcd");
+    let budget = kernel.max_cycles * 8;
     let run = |sim: &mut Simulator<'_>| -> Result<u64, Box<dyn std::error::Error>> {
         if let Some(path) = vcd_path {
             let file = std::fs::File::create(path)?;
             let mut w = std::io::BufWriter::new(file);
             let mut vcd = VcdTracer::new(&graph, &mut w)?;
-            let mut cycles = 0;
+            // The same budget check as `Simulator::run`, one cycle at a time.
             while !sim.exited() {
-                if cycles > kernel.max_cycles * 8 {
-                    return Err("timeout".into());
+                if sim.cycle() >= budget {
+                    return Err(SimError::Timeout { max_cycles: budget }.into());
                 }
                 sim.step()?;
                 vcd.sample(sim)?;
-                cycles += 1;
             }
             w.flush()?;
-            Ok(cycles)
+            Ok(sim.cycle())
         } else {
-            Ok(sim.run(kernel.max_cycles * 8)?.cycles)
+            Ok(sim.run(budget)?.cycles)
         }
     };
     let cycles = match run(&mut sim) {

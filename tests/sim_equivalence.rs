@@ -1,23 +1,19 @@
-//! Engine-equivalence suite for the simulator: the event-driven scheduler
-//! ([`sim::SimEngine::EventDriven`], the default) and the compiled bytecode
-//! engine ([`sim::SimEngine::Compiled`]) must both agree *bit for bit* with
-//! the full-sweep oracle ([`sim::SimEngine::FullSweep`]) — same cycles, exit
-//! values, per-channel transfer/stall counters, memory contents, and error
-//! cases — on randomized DFGs and on all nine evaluation kernels. The
+//! Engine-equivalence suite for the simulator: the compiled bytecode
+//! engine ([`sim::SimEngine::Compiled`], the default) must agree *bit for
+//! bit* with the full-sweep oracle ([`sim::SimEngine::FullSweep`]) — same
+//! cycles, exit values, per-channel transfer/stall counters, memory
+//! contents, error cases, and the per-cycle handshake view a VCD waveform
+//! records — on randomized DFGs and on all nine evaluation kernels. The
 //! parallel slack-matching pass built on top must additionally pick
 //! identical buffer sets at any job count.
 
 use frequenz::core::{slack_match, SlackOptions};
 use frequenz::dataflow::{BufferSpec, Graph, OpKind, PortRef, UnitKind};
 use frequenz::hls::kernels;
-use frequenz::sim::{RunStats, SimEngine, SimError, Simulator};
+use frequenz::sim::{RunStats, SimEngine, SimError, Simulator, VcdTracer};
 use proptest::prelude::*;
 
-const ENGINES: [SimEngine; 3] = [
-    SimEngine::FullSweep,
-    SimEngine::EventDriven,
-    SimEngine::Compiled,
-];
+const ENGINES: [SimEngine; 2] = [SimEngine::FullSweep, SimEngine::Compiled];
 
 /// Everything externally observable about one finished (or failed) run.
 type Fingerprint = (
@@ -26,31 +22,45 @@ type Fingerprint = (
     Vec<u64>,      // per-channel transfers
     Vec<u64>,      // per-channel stalls
     Vec<Vec<u64>>, // memory contents
+    String,        // VCD of every cycle's channel valid/ready/data
 );
 
+/// Steps the run cycle by cycle exactly as `run(budget)` does, sampling
+/// the handshake view into a VCD after every completed cycle, then takes
+/// the run's result from `run` itself.
 fn fingerprint(g: &Graph, engine: SimEngine, args: &[u64], budget: u64) -> Fingerprint {
     let mut s = Simulator::with_engine(g, engine).expect("valid graph constructs");
     for (i, &v) in args.iter().enumerate() {
         s.set_arg(i as u8, v);
     }
-    let res = s.run(budget);
+    let mut wave = Vec::new();
+    let mut vcd = VcdTracer::new(g, &mut wave).expect("in-memory VCD");
+    let mut stepped = Ok(());
+    while stepped.is_ok() && !s.exited() && s.cycle() < budget {
+        stepped = s.step();
+        if stepped.is_ok() {
+            vcd.sample(&s).expect("in-memory VCD");
+        }
+    }
+    drop(vcd);
+    // After the exit `run` only reports; at the budget it times out.
+    let res = stepped.and_then(|()| s.run(budget));
     (
         res,
         s.cycle(),
         g.channels().map(|(c, _)| s.transfers(c)).collect(),
         g.channels().map(|(c, _)| s.stalls(c)).collect(),
         g.memories().map(|(m, _)| s.memory(m).to_vec()).collect(),
+        String::from_utf8(wave).expect("VCD is ASCII"),
     )
 }
 
-/// Runs all three engines and asserts pairwise bit-identity against the
-/// full-sweep oracle; returns the oracle fingerprint for further checks.
+/// Runs both engines and asserts bit-identity against the full-sweep
+/// oracle; returns the oracle fingerprint for further checks.
 fn assert_engines_identical(g: &Graph, args: &[u64], budget: u64, label: &str) -> Fingerprint {
     let sweep = fingerprint(g, SimEngine::FullSweep, args, budget);
-    for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
-        let got = fingerprint(g, engine, args, budget);
-        assert_eq!(got, sweep, "{label}: {engine:?} diverged from FullSweep");
-    }
+    let got = fingerprint(g, SimEngine::Compiled, args, budget);
+    assert_eq!(got, sweep, "{label}: Compiled diverged from FullSweep");
     sweep
 }
 
@@ -121,7 +131,7 @@ fn sim_chain(ops: &[u8], bufs: &[u16]) -> Graph {
 
 /// `gsum(n)` with extra buffers on arbitrary channels: loops, merges,
 /// branches, and memory ports under randomized backpressure. Whatever the
-/// outcome — completion, deadlock, timeout — all engines must agree.
+/// outcome — completion, deadlock, timeout — both engines must agree.
 fn buffered_gsum(n: usize, bufs: &[u16]) -> Graph {
     let k = kernels::gsum(n);
     let mut g = k.seeded_graph();
@@ -142,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random pipelined chains with random buffers and random argument
-    /// vectors: bit-identical runs across all three engines.
+    /// vectors: bit-identical runs on both engines.
     #[test]
     fn engines_agree_on_random_dfgs(
         ops in prop::collection::vec(any::<u8>(), 1..12),
@@ -151,10 +161,8 @@ proptest! {
     ) {
         let g = sim_chain(&ops, &bufs);
         let sweep = fingerprint(&g, SimEngine::FullSweep, &args, 10_000);
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
-            let got = fingerprint(&g, engine, &args, 10_000);
-            prop_assert_eq!(&got, &sweep, "{:?} diverged", engine);
-        }
+        let got = fingerprint(&g, SimEngine::Compiled, &args, 10_000);
+        prop_assert_eq!(&got, &sweep, "Compiled diverged");
     }
 
     /// Random loop graphs (gsum + arbitrary extra buffers): bit-identical
@@ -166,10 +174,8 @@ proptest! {
     ) {
         let g = buffered_gsum(n, &bufs);
         let sweep = fingerprint(&g, SimEngine::FullSweep, &[], 50_000);
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
-            let got = fingerprint(&g, engine, &[], 50_000);
-            prop_assert_eq!(&got, &sweep, "{:?} diverged", engine);
-        }
+        let got = fingerprint(&g, SimEngine::Compiled, &[], 50_000);
+        prop_assert_eq!(&got, &sweep, "Compiled diverged");
     }
 }
 
@@ -202,7 +208,7 @@ fn engines_agree_on_unseeded_kernel_failures() {
     }
 }
 
-/// A data cycle through two adders never settles: all engines must call
+/// A data cycle through two adders never settles: both engines must call
 /// it [`SimError::NoFixpoint`] on the same cycle.
 #[test]
 fn no_fixpoint_is_engine_invariant() {
@@ -229,7 +235,7 @@ fn no_fixpoint_is_engine_invariant() {
     assert_eq!(sweep.0, Err(SimError::NoFixpoint));
 }
 
-/// An out-of-range load faults identically under all engines.
+/// An out-of-range load faults identically under both engines.
 #[test]
 fn addr_out_of_bounds_is_engine_invariant() {
     let mut g = Graph::new("oob");
@@ -339,7 +345,7 @@ fn unvalidated_graph_is_rejected_with_structured_error() {
 fn slack_matching_jobs_sweep_is_bit_identical() {
     for k in kernels::all_kernels_small() {
         let seed: Vec<_> = k.back_edges().to_vec();
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
+        for engine in ENGINES {
             let reference = slack_match(
                 k.graph(),
                 &seed,
@@ -380,7 +386,7 @@ fn slack_matching_engines_agree() {
     for k in kernels::all_kernels_small() {
         let seed: Vec<_> = k.back_edges().to_vec();
         let mut picks = Vec::new();
-        for engine in [SimEngine::EventDriven, SimEngine::Compiled] {
+        for engine in ENGINES {
             let opts = SlackOptions {
                 sim_budget: k.max_cycles * 4,
                 jobs: 2,
