@@ -9,7 +9,9 @@
 //! then regulates the estimated critical path.
 
 use crate::cfdfc::extract_cfdfcs_traced;
-use crate::iterate::{apply_buffers, FlowError, FlowOptions, FlowResult, IterationRecord};
+use crate::iterate::{
+    apply_buffers, synth_step, FlowError, FlowOptions, FlowResult, IterationRecord,
+};
 use crate::place::{place_buffers, PlacementProblem};
 use crate::slack::parallel_trials;
 use crate::synth::{SynthCache, SynthOptions};
@@ -181,7 +183,6 @@ pub fn optimize_baseline_with_cache(
         characterize_units_jobs(base, opts.k, opts.jobs)
     })?;
     trace.par_unit_tasks += unit_tasks;
-    trace.synth_jobs = trace.synth_jobs.max(opts.jobs);
     let timing = timed(&mut trace.timing, || {
         baseline_timing_graph(base, &unit_levels)
     });
@@ -216,17 +217,13 @@ pub fn optimize_baseline_with_cache(
         objective: opts.objective,
     };
     let placement = timed(&mut trace.milp, || place_buffers(&problem))?;
-    trace.cut_rounds += placement.cut_rounds;
-    trace.milp_pivots += placement.milp_pivots;
-    trace.milp_refactors += placement.milp_refactors;
-    trace.milp_nodes += placement.milp_nodes;
-    trace.milp_rows_dropped += placement.milp_rows_dropped;
-    let mut buffers = placement.buffers.clone();
+    trace.record_placement(&placement);
+    let mut buffers = placement.buffers;
     if opts.slack_matching {
-        let achieved0 = timed(&mut trace.synth, || {
-            cache.synthesize_opts(&apply_buffers(base, &buffers), &synth_opts)
-        })?
-        .logic_levels();
+        let g = apply_buffers(base, &buffers);
+        let achieved0 = synth_step(&mut trace, cache, &g, &synth_opts, None)?
+            .synthesis()
+            .logic_levels();
         let slack_opts = crate::slack::SlackOptions {
             k: opts.k,
             target_levels: opts.target_levels.max(achieved0),
@@ -238,10 +235,9 @@ pub fn optimize_baseline_with_cache(
         buffers = crate::slack::slack_match_traced(base, &buffers, &slack_opts, cache, &mut trace)?;
     }
     let graph = apply_buffers(base, &buffers);
-    let achieved = timed(&mut trace.synth, || {
-        cache.synthesize_opts(&graph, &synth_opts)
-    })?
-    .logic_levels();
+    let achieved = synth_step(&mut trace, cache, &graph, &synth_opts, None)?
+        .synthesis()
+        .logic_levels();
     trace.iterations = 1;
     trace.cache_hits = cache.hits() - hits0;
     trace.cache_misses = cache.misses() - misses0;

@@ -343,7 +343,6 @@ pub fn optimize_iterative_with_cache(
             Some(prev) => count_dirty_bbs(prev, &cur_bbs),
             None => cur_bbs.len(),
         };
-        trace.dirty_bb_history.push(dirty);
         trace.dirty_bbs += dirty as u64;
         trace.clean_bbs += cur_bbs.len().saturating_sub(dirty) as u64;
         prev_bbs = Some(cur_bbs);
@@ -352,13 +351,11 @@ pub fn optimize_iterative_with_cache(
         let synth = cur_handle.synthesis().clone();
         let (map, timing) = match &prev_model {
             Some((ps, pm, pt)) if Arc::ptr_eq(ps, &synth) => (pm.clone(), pt.clone()),
-            _ => {
-                let m = timed(&mut trace.map, || {
-                    map_lut_edges_cached(base, &synth, &mut classify_cache)
-                });
-                let t = timed(&mut trace.timing, || TimingGraph::build(base, &synth, &m));
+            _ => timed(&mut trace.timing, || {
+                let m = map_lut_edges_cached(base, &synth, &mut classify_cache);
+                let t = TimingGraph::build(base, &synth, &m);
                 (m, t)
-            }
+            }),
         };
         prev_model = Some((synth.clone(), map, timing));
         let timing = &prev_model.as_ref().expect("just set").2;
@@ -389,17 +386,7 @@ pub fn optimize_iterative_with_cache(
         let placement = timed(&mut trace.milp, || {
             place_buffers_warm(&problem, warm_store.as_ref())
         })?;
-        trace.cut_rounds += placement.cut_rounds;
-        trace.milp_pivots += placement.milp_pivots;
-        trace.milp_refactors += placement.milp_refactors;
-        trace.milp_nodes += placement.milp_nodes;
-        trace.milp_rows_dropped += placement.milp_rows_dropped;
-        trace.milp_cuts += placement.milp_cuts;
-        trace.milp_cut_rounds += placement.milp_cut_rounds;
-        trace.milp_nodes_pruned += placement.milp_nodes_pruned;
-        trace.milp_bounds_tightened += placement.milp_bounds_tightened;
-        trace.milp_warm_hits += placement.milp_warm_hits;
-        trace.milp_warm_misses += placement.milp_warm_misses;
+        trace.record_placement(&placement);
 
         // Re-synthesize with the proposed buffers; check the real levels.
         // The circuit just synthesized is the natural basis: the proposal
@@ -499,8 +486,9 @@ pub fn optimize_iterative_with_cache(
 }
 
 /// Runs one cached synthesis, splitting its wall clock and label counters
-/// into the incremental/full lanes of the trace.
-fn synth_step(
+/// into the incremental/full lanes of the trace. Both flows synthesize
+/// through here, so they report the same synthesis counters.
+pub(crate) fn synth_step(
     trace: &mut FlowTrace,
     cache: &SynthCache,
     g: &Graph,
@@ -511,7 +499,6 @@ fn synth_step(
     let out = cache.synthesize_with_basis_opts(g, opts, basis);
     let dt = start.elapsed();
     trace.synth += dt;
-    trace.synth_jobs = trace.synth_jobs.max(opts.jobs);
     if let Ok((_, delta)) = &out {
         if !delta.cache_hit {
             if delta.incremental {
@@ -656,7 +643,8 @@ mod tests {
         let k = kernels::gsumif(16);
         let r = optimize_iterative(k.graph(), k.back_edges(), &FlowOptions::default()).unwrap();
         let t = &r.trace;
-        assert_eq!(t.dirty_bb_history.len(), t.iterations);
+        let bbs = fingerprint_bbs(k.graph()).len() as u64;
+        assert_eq!(t.dirty_bbs + t.clean_bbs, bbs * t.iterations as u64);
         assert!(t.dirty_bbs > 0, "iteration 1 must count all BBs dirty");
         if t.iterations > 1 {
             assert!(

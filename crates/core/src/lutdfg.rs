@@ -76,16 +76,6 @@ pub struct LutDfgMap {
     pub edges: Vec<MappedEdge>,
 }
 
-impl LutDfgMap {
-    /// Number of edges classified as artificial.
-    pub fn num_artificial(&self) -> usize {
-        self.edges
-            .iter()
-            .filter(|e| matches!(e.target, EdgeTarget::Artificial { .. }))
-            .count()
-    }
-}
-
 /// Finds the forward shortest path `from → to` and returns its channels.
 fn forward_channels(g: &Graph, from: UnitId, to: UnitId) -> Option<Vec<ChannelId>> {
     g.shortest_path(from, to)

@@ -332,9 +332,9 @@ fn milp_jobs() -> usize {
 
 /// Builds the seed placement MILP — the model the first cut round solves
 /// (correctness cuts + fixed-state clock-period cuts), *without*
-/// canonicalization or the lazy cut loop. Public for the solver benchmark
-/// (`bench_milp`) and the engine-equivalence tests, which need the real
-/// Eq. 3 models rather than synthetic LPs.
+/// canonicalization or the lazy cut loop. Public for the engine-equivalence
+/// tests (`tests/milp_equivalence.rs`), which need the real Eq. 3 models
+/// rather than synthetic LPs.
 ///
 /// # Errors
 ///

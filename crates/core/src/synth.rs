@@ -235,11 +235,6 @@ impl SynthCache {
         }
     }
 
-    /// Whether [`SynthCache::synthesize_with_basis`] honours its basis.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental
-    }
-
     /// Synthesizes `g`, serving structurally identical repeats from memory.
     ///
     /// # Errors

@@ -2,14 +2,14 @@
 //!
 //! Every flow run ([`optimize_iterative`](crate::optimize_iterative) and
 //! [`optimize_baseline`](crate::optimize_baseline)) records where its wall
-//! clock went — synthesis, LUT→DFG mapping, the timing lane (timing models,
-//! CFDFC extraction, penalties), MILP solving, slack matching — together
-//! with the synthesis-cache hit/miss counts and the MILP cut rounds
-//! consumed. The trace rides on [`FlowResult`](crate::FlowResult) and is
-//! printed by the bench binaries, giving performance work a baseline to
-//! regress against.
+//! clock went — synthesis, the timing lane (LUT→DFG mapping, timing
+//! models, CFDFC extraction, penalties), MILP solving, slack matching —
+//! together with the deterministic work counters of each lane. The trace
+//! rides on [`FlowResult`](crate::FlowResult); `table1` prints its
+//! counters (pinned by `scripts/check_table1.sh`) apart from its
+//! durations.
 
-use std::fmt;
+use crate::place::PlacementResult;
 use std::time::{Duration, Instant};
 
 /// Wall-clock and cache accounting for one flow run.
@@ -18,10 +18,9 @@ pub struct FlowTrace {
     /// Time spent synthesizing (elaborate + optimize + LUT map), cache
     /// misses only — cache hits cost effectively nothing.
     pub synth: Duration,
-    /// Time spent mapping LUT edges back onto the DFG.
-    pub map: Duration,
-    /// Time spent building mapping-aware (or baseline) timing models,
-    /// extracting CFDFCs and computing the Eq. 2 penalties.
+    /// Time spent mapping LUT edges back onto the DFG, building
+    /// mapping-aware (or baseline) timing models, extracting CFDFCs and
+    /// computing the Eq. 2 penalties.
     pub timing: Duration,
     /// Time spent in the placement MILP.
     pub milp: Duration,
@@ -79,8 +78,6 @@ pub struct FlowTrace {
     pub dirty_bbs: u64,
     /// Basic blocks untouched since the previous iteration (summed).
     pub clean_bbs: u64,
-    /// Dirty-BB count of each iteration, in order.
-    pub dirty_bb_history: Vec<usize>,
     /// Wall clock inside cycle-accurate simulator runs — CFDFC profiling
     /// and slack-matching trials. A *cross-cutting* lane: it overlaps
     /// `timing` and `slack` (like `synth_full`/`synth_incremental` overlap
@@ -100,10 +97,6 @@ pub struct FlowTrace {
     /// Slack trials aborted by the incumbent-bound early exit (they spent
     /// their full cycle cap without beating the round's best).
     pub slack_trials_pruned: u64,
-    /// Largest worker-pool width used by the synthesis lane (labeling,
-    /// LUT packing, unit characterization). Deterministic: it reports the
-    /// configured width, not scheduling behaviour.
-    pub synth_jobs: usize,
     /// Independent unit-characterization tasks fanned out by the baseline
     /// flow (one per unique unit signature) — jobs-invariant by design.
     pub par_unit_tasks: u64,
@@ -158,6 +151,22 @@ impl FlowTrace {
         }
     }
 
+    /// Merges the work counters of one placement call into the MILP lane
+    /// (its wall clock is timed by the caller, into `milp`).
+    pub fn record_placement(&mut self, p: &PlacementResult) {
+        self.cut_rounds += p.cut_rounds;
+        self.milp_pivots += p.milp_pivots;
+        self.milp_refactors += p.milp_refactors;
+        self.milp_nodes += p.milp_nodes;
+        self.milp_rows_dropped += p.milp_rows_dropped;
+        self.milp_cuts += p.milp_cuts;
+        self.milp_cut_rounds += p.milp_cut_rounds;
+        self.milp_nodes_pruned += p.milp_nodes_pruned;
+        self.milp_bounds_tightened += p.milp_bounds_tightened;
+        self.milp_warm_hits += p.milp_warm_hits;
+        self.milp_warm_misses += p.milp_warm_misses;
+    }
+
     /// Merges a batch of simulator-run stats into the `sim` lane.
     pub fn record_sim(&mut self, stats: SimStats) {
         self.sim += stats.time;
@@ -170,7 +179,6 @@ impl FlowTrace {
     /// aggregate the two flows of a comparison run).
     pub fn absorb(&mut self, other: &FlowTrace) {
         self.synth += other.synth;
-        self.map += other.map;
         self.timing += other.timing;
         self.milp += other.milp;
         self.slack += other.slack;
@@ -197,74 +205,14 @@ impl FlowTrace {
         self.labels_computed += other.labels_computed;
         self.dirty_bbs += other.dirty_bbs;
         self.clean_bbs += other.clean_bbs;
-        self.dirty_bb_history
-            .extend(other.dirty_bb_history.iter().copied());
         self.sim += other.sim;
         self.sim_runs += other.sim_runs;
         self.sim_cycles += other.sim_cycles;
         self.sim_compiles += other.sim_compiles;
         self.slack_trials += other.slack_trials;
         self.slack_trials_pruned += other.slack_trials_pruned;
-        self.synth_jobs = self.synth_jobs.max(other.synth_jobs);
         self.par_unit_tasks += other.par_unit_tasks;
         self.par_pack_tasks += other.par_pack_tasks;
-    }
-}
-
-impl fmt::Display for FlowTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "synth {:.2}s (full {:.2}s + incr {:.2}s) | map {:.2}s | timing {:.2}s | \
-             milp {:.2}s ({} pivots, {} nodes, {} refactors, {} rows dropped, \
-             {} cuts/{} rounds, {} pruned, {} bounds tightened, \
-             {} warm hits/{} misses) | \
-             slack {:.2}s ({} trials, {} pruned) | \
-             sim {:.2}s ({} runs, {} cycles, {} compiles) | \
-             total {:.2}s | cache {}/{} hits ({:.0}%) | \
-             {} incr / {} full synths | labels {}/{} reused ({:.0}%) | \
-             dirty BBs {}/{} | {} cut rounds | {} iterations | \
-             synth jobs {} ({} unit tasks, {} packed)",
-            self.synth.as_secs_f64(),
-            self.synth_full.as_secs_f64(),
-            self.synth_incremental.as_secs_f64(),
-            self.map.as_secs_f64(),
-            self.timing.as_secs_f64(),
-            self.milp.as_secs_f64(),
-            self.milp_pivots,
-            self.milp_nodes,
-            self.milp_refactors,
-            self.milp_rows_dropped,
-            self.milp_cuts,
-            self.milp_cut_rounds,
-            self.milp_nodes_pruned,
-            self.milp_bounds_tightened,
-            self.milp_warm_hits,
-            self.milp_warm_misses,
-            self.slack.as_secs_f64(),
-            self.slack_trials,
-            self.slack_trials_pruned,
-            self.sim.as_secs_f64(),
-            self.sim_runs,
-            self.sim_cycles,
-            self.sim_compiles,
-            self.total.as_secs_f64(),
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
-            100.0 * self.cache_hit_rate(),
-            self.incr_synths,
-            self.full_synths,
-            self.labels_reused,
-            self.labels_reused + self.labels_computed,
-            100.0 * self.label_reuse_rate(),
-            self.dirty_bbs,
-            self.dirty_bbs + self.clean_bbs,
-            self.cut_rounds,
-            self.iterations,
-            self.synth_jobs,
-            self.par_unit_tasks,
-            self.par_pack_tasks,
-        )
     }
 }
 
@@ -296,7 +244,6 @@ mod tests {
             cut_rounds: 2,
             iterations: 1,
             synth: Duration::from_millis(10),
-            synth_jobs: 4,
             par_unit_tasks: 2,
             ..FlowTrace::default()
         };
@@ -322,14 +269,12 @@ mod tests {
             labels_computed: 30,
             dirty_bbs: 4,
             clean_bbs: 6,
-            dirty_bb_history: vec![3, 1],
             sim: Duration::from_millis(7),
             sim_runs: 3,
             sim_cycles: 900,
             sim_compiles: 2,
             slack_trials: 12,
             slack_trials_pruned: 5,
-            synth_jobs: 2,
             par_unit_tasks: 3,
             par_pack_tasks: 40,
             ..FlowTrace::default()
@@ -355,15 +300,12 @@ mod tests {
         assert_eq!(a.labels_reused, 10);
         assert_eq!(a.dirty_bbs, 4);
         assert_eq!(a.clean_bbs, 6);
-        assert_eq!(a.dirty_bb_history, vec![3, 1]);
         assert_eq!(a.sim, Duration::from_millis(7));
         assert_eq!(a.sim_runs, 3);
         assert_eq!(a.sim_cycles, 900);
         assert_eq!(a.sim_compiles, 2);
         assert_eq!(a.slack_trials, 12);
         assert_eq!(a.slack_trials_pruned, 5);
-        // Worker-pool width absorbs via max, task counts via sum.
-        assert_eq!(a.synth_jobs, 4);
         assert_eq!(a.par_unit_tasks, 5);
         assert_eq!(a.par_pack_tasks, 40);
     }
@@ -381,12 +323,44 @@ mod tests {
         assert_eq!(t.sim_runs, 4);
         assert_eq!(t.sim_cycles, 300);
         assert_eq!(t.sim_compiles, 2);
-        // The instrumentation line surfaces the new lane.
-        let line = t.to_string();
-        assert!(
-            line.contains("sim 0.02s (4 runs, 300 cycles, 2 compiles)"),
-            "{line}"
-        );
+    }
+
+    #[test]
+    fn record_placement_merges_every_milp_counter() {
+        let p = PlacementResult {
+            buffers: Vec::new(),
+            throughputs: Vec::new(),
+            cut_rounds: 1,
+            unbreakable_levels: Vec::new(),
+            objective: 0.0,
+            milp_pivots: 2,
+            milp_refactors: 3,
+            milp_nodes: 4,
+            milp_rows_dropped: 5,
+            milp_cuts: 6,
+            milp_cut_rounds: 7,
+            milp_nodes_pruned: 8,
+            milp_bounds_tightened: 9,
+            milp_warm_hits: 10,
+            milp_warm_misses: 11,
+        };
+        let mut t = FlowTrace::default();
+        t.record_placement(&p);
+        t.record_placement(&p);
+        let got = [
+            t.cut_rounds as u64,
+            t.milp_pivots,
+            t.milp_refactors,
+            t.milp_nodes,
+            t.milp_rows_dropped,
+            t.milp_cuts,
+            t.milp_cut_rounds,
+            t.milp_nodes_pruned,
+            t.milp_bounds_tightened,
+            t.milp_warm_hits,
+            t.milp_warm_misses,
+        ];
+        assert_eq!(got, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22]);
     }
 
     #[test]

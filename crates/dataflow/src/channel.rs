@@ -85,14 +85,6 @@ impl BufferSpec {
     pub fn latency(&self) -> u32 {
         self.opaque as u32
     }
-
-    /// Number of flip-flops a buffer of this spec costs for a payload of
-    /// `width` bits (data bits + 1 valid bit per slot; transparent slots
-    /// store data + a full/empty bit).
-    pub fn ff_cost(&self, width: u16) -> u32 {
-        let per_slot = width as u32 + 1;
-        self.slots() * per_slot
-    }
 }
 
 impl fmt::Display for BufferSpec {
@@ -156,8 +148,6 @@ mod tests {
         assert_eq!(BufferSpec::FULL.slots(), 2);
         assert_eq!(BufferSpec::FULL.latency(), 1);
         assert_eq!(BufferSpec::TRANSPARENT.latency(), 0);
-        assert_eq!(BufferSpec::OPAQUE.ff_cost(16), 17);
-        assert_eq!(BufferSpec::FULL.ff_cost(0), 2);
     }
 
     #[test]

@@ -210,15 +210,6 @@ impl Graph {
         &self.channels[id.index()]
     }
 
-    /// Looks up a basic block by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn basic_block(&self, id: BasicBlockId) -> &BasicBlock {
-        &self.bbs[id.index()]
-    }
-
     /// Looks up a memory by id.
     ///
     /// # Panics
@@ -303,29 +294,12 @@ impl Graph {
         self.channels[ch.index()].buffer = spec;
     }
 
-    /// Removes all buffers from all channels.
-    pub fn clear_buffers(&mut self) {
-        for c in &mut self.channels {
-            c.buffer = BufferSpec::NONE;
-        }
-    }
-
     /// Returns the channels that currently carry a buffer.
     pub fn buffered_channels(&self) -> Vec<ChannelId> {
         self.channels()
             .filter(|(_, c)| !c.buffer.is_none())
             .map(|(id, _)| id)
             .collect()
-    }
-
-    /// Sets the initial token count on a channel (marked-graph style reset
-    /// state; used by ring-oscillator style tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn set_initial_tokens(&mut self, ch: ChannelId, tokens: u32) {
-        self.channels[ch.index()].initial_tokens = tokens;
     }
 
     /// Checks structural invariants: every port of every unit is connected.
@@ -368,17 +342,6 @@ impl Graph {
         self.input_channels(unit)
             .map(|c| self.channel(c).src.unit)
             .collect()
-    }
-
-    /// Histogram of unit kinds by mnemonic — a quick structural summary
-    /// (used by reports and the CLI).
-    pub fn kind_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut counts: std::collections::BTreeMap<&'static str, usize> =
-            std::collections::BTreeMap::new();
-        for (_, u) in self.units() {
-            *counts.entry(u.kind().mnemonic()).or_default() += 1;
-        }
-        counts.into_iter().collect()
     }
 
     /// Breadth-first list of the channel-ids on *some* shortest directed
@@ -568,20 +531,6 @@ mod tests {
         let ch = ChannelId::from_raw(2);
         g.set_buffer(ch, BufferSpec::FULL);
         assert_eq!(g.buffered_channels(), vec![ch]);
-        g.clear_buffers();
-        assert!(g.buffered_channels().is_empty());
-    }
-
-    #[test]
-    fn kind_histogram_counts() {
-        let (g, ..) = diamond();
-        let h = g.kind_histogram();
-        let get = |k: &str| h.iter().find(|(n, _)| *n == k).map(|(_, c)| *c);
-        assert_eq!(get("fork"), Some(1));
-        assert_eq!(get("add"), Some(1));
-        assert_eq!(get("shl"), Some(1));
-        assert_eq!(get("exit"), Some(1));
-        assert_eq!(get("join"), None);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl XorShift64 {
     pub fn next_below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
     }
-
-    /// A uniformly random boolean.
-    pub fn next_bool(&mut self) -> bool {
-        self.next_u64() & 1 != 0
-    }
 }
 
 #[cfg(test)]

@@ -286,14 +286,6 @@ impl KernelBuilder {
         self.net(PortRef::new(u, 0), 1)
     }
 
-    /// Bitwise OR of two 1-bit condition values.
-    pub fn bor(&mut self, a: Val, b: Val) -> Val {
-        let u = self.unit(UnitKind::Operator(OpKind::Or), "or", 1);
-        self.consume(a, u, 0);
-        self.consume(b, u, 1);
-        self.net(PortRef::new(u, 0), 1)
-    }
-
     /// Signed `a > b` (1-bit result).
     pub fn gt(&mut self, a: Val, b: Val) -> Val {
         self.binary(OpKind::Gt, a, b)

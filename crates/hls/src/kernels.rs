@@ -32,11 +32,6 @@ impl Kernel {
         &self.built.graph
     }
 
-    /// Mutable access (for buffer placement).
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.built.graph
-    }
-
     /// Loop back-edge channels (must carry buffers for the circuit to be
     /// sequential).
     pub fn back_edges(&self) -> &[ChannelId] {

@@ -223,11 +223,7 @@ pub(crate) fn lut_cover(
         lut.level = levels[i].expect("level computed");
     }
 
-    Ok(LutNetwork {
-        luts,
-        lut_of_gate,
-        k,
-    })
+    Ok(LutNetwork { luts, k })
 }
 
 /// Packs every discovered LUT: cover DFS + majority origin. Fans out over

@@ -83,8 +83,6 @@ impl Lut {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LutNetwork {
     pub(crate) luts: Vec<Lut>,
-    /// For each mapped root gate, the LUT that computes it.
-    pub(crate) lut_of_gate: dataflow::collections::HashMap<GateId, LutId>,
     pub(crate) k: usize,
 }
 
@@ -106,11 +104,6 @@ impl LutNetwork {
         &self.luts[id.index()]
     }
 
-    /// The LUT computing `gate`, if `gate` is a mapped LUT root.
-    pub fn lut_for(&self, gate: GateId) -> Option<LutId> {
-        self.lut_of_gate.get(&gate).copied()
-    }
-
     /// Number of LUTs (the paper's *LUTs* area column).
     pub fn num_luts(&self) -> usize {
         self.luts.len()
@@ -128,17 +121,11 @@ impl LutNetwork {
     }
 
     /// `true` iff the two networks are equal field for field — every LUT's
-    /// root, input order, covered-gate order, origin, and level, plus the
-    /// root→LUT map and K. This is the equivalence the parallel labeler,
+    /// root, input order, covered-gate order, origin, and level, plus K.
+    /// This is the equivalence the parallel labeler,
     /// the seeded mapper, and the reference mapper are all held to.
     pub fn bit_identical(&self, other: &LutNetwork) -> bool {
         self == other
-    }
-
-    /// Sum of cut sizes (LUT input counts) over the network — a compact
-    /// mapping-quality scalar used by the synthesis bench regression gate.
-    pub fn total_cut_inputs(&self) -> usize {
-        self.luts.iter().map(|l| l.inputs.len()).sum()
     }
 
     /// All LUT-to-LUT edges as `(src, dst)` pairs — the *LUT edges* the

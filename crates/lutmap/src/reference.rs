@@ -2,13 +2,11 @@
 //! label/cut storage, per-gate flow-network allocation, strictly serial
 //! topological labeling.
 //!
-//! It serves two purposes. First, it is the *bit-identity oracle*: the
-//! dense, level-parallel labeler in [`crate::flowmap`] must reproduce this
-//! implementation's labels and chosen cuts exactly (the repo keeps the
-//! same discipline for the simulator's `FullSweep` engine and the MILP's
-//! dense tableau). Second, it is the measured *baseline lane* of
-//! `BENCH_synth.json`: synthesis speedups are reported against this
-//! implementation, not against a moving target.
+//! It is the *bit-identity oracle*: the dense, level-parallel labeler in
+//! [`crate::flowmap`] must reproduce this implementation's labels and
+//! chosen cuts exactly (the repo keeps the same discipline for the
+//! simulator's `FullSweep` engine and the MILP's dense tableau). `tests/synth_equivalence.rs` holds the mapper to it on
+//! random netlists and on the nine kernels' full-size netlists.
 
 use crate::flowmap::{CombView, Labeling};
 use crate::mapper::{lut_cover, MapError, MapOptions};

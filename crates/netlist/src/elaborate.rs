@@ -28,7 +28,7 @@
 use crate::datapath as dp;
 use crate::gate::{GateId, Origin};
 use crate::netgraph::Netlist;
-use dataflow::{ChannelId, Graph, OpKind, UnitId, UnitKind};
+use dataflow::{Graph, OpKind, UnitId, UnitKind};
 
 /// A malformed graph reaching elaboration: a unit port with no channel.
 ///
@@ -74,7 +74,7 @@ impl std::error::Error for ElaborateError {}
 /// All handles are alias gates; after [`Netlist::optimize`] call
 /// [`Netlist::resolve`] to reach the canonical driver.
 #[derive(Debug, Clone)]
-pub struct ChannelNets {
+pub(crate) struct ChannelNets {
     /// Data bits driven by the producer (pre-buffer).
     pub data_src: Vec<GateId>,
     /// `valid` driven by the producer (pre-buffer).
@@ -89,20 +89,11 @@ pub struct ChannelNets {
     pub ready_src: GateId,
 }
 
-/// Result of [`elaborate`]: the netlist plus per-channel net handles.
+/// Result of [`elaborate`]: the netlist.
 #[derive(Debug)]
 pub struct Elaboration {
     /// The elaborated netlist.
     pub netlist: Netlist,
-    /// Channel nets, indexed by [`ChannelId`] order.
-    pub channels: Vec<ChannelNets>,
-}
-
-impl Elaboration {
-    /// Net handles for a channel.
-    pub fn channel_nets(&self, ch: ChannelId) -> &ChannelNets {
-        &self.channels[ch.index()]
-    }
 }
 
 /// Elaborates `g` (with its current buffer annotations) into gates.
@@ -119,10 +110,7 @@ pub fn elaborate(g: &Graph) -> Result<Elaboration, ElaborateError> {
     for (uid, _) in g.units() {
         e.elaborate_unit(uid)?;
     }
-    Ok(Elaboration {
-        netlist: e.nl,
-        channels: e.channels,
-    })
+    Ok(Elaboration { netlist: e.nl })
 }
 
 pub(crate) struct Elaborator<'g> {

@@ -45,7 +45,7 @@ mod opt;
 mod simulate;
 
 pub use blif::{read_blif, write_blif, BlifError};
-pub use elaborate::{elaborate, ChannelNets, ElaborateError, Elaboration};
+pub use elaborate::{elaborate, ElaborateError, Elaboration};
 pub use gate::{Gate, GateId, GateKind, Origin};
 pub use isolate::elaborate_isolated;
 pub use matching::{match_netlists, NetlistMatching};

@@ -50,16 +50,6 @@ pub struct NetlistMatching {
 }
 
 impl NetlistMatching {
-    /// Fraction of current live logic gates matched (0 when none exist).
-    pub fn match_rate(&self) -> f64 {
-        let total = self.matched_logic + self.unmatched_logic;
-        if total == 0 {
-            0.0
-        } else {
-            self.matched_logic as f64 / total as f64
-        }
-    }
-
     /// Flattens the two hash maps into gate-index-addressed arrays for hot
     /// consumers (the seeded FlowMap labeler translates every cut gate of
     /// every reused label through these): `(cur_of_prev, prev_of_cur)`,
@@ -217,7 +207,6 @@ mod tests {
         assert!(m.matched_logic >= 3);
         assert_eq!(m.cur_to_prev[&cur_root], prev_root);
         assert_eq!(m.prev_to_cur[&prev_root], cur_root);
-        assert!((m.match_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

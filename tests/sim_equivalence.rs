@@ -5,11 +5,12 @@
 //! contents, error cases, and the per-cycle handshake view a VCD waveform
 //! records — on randomized DFGs and on all nine evaluation kernels. The
 //! parallel slack-matching pass built on top must additionally pick
-//! identical buffer sets at any job count.
+//! identical buffer sets after identical trials on either engine and at
+//! any job count, on the reduced and the full-size kernels.
 
-use frequenz::core::{slack_match, SlackOptions};
-use frequenz::dataflow::{BufferSpec, Graph, OpKind, PortRef, UnitKind};
-use frequenz::hls::kernels;
+use frequenz::core::{slack_match_traced, FlowTrace, SlackOptions, SynthCache};
+use frequenz::dataflow::{BufferSpec, ChannelId, Graph, OpKind, PortRef, UnitKind};
+use frequenz::hls::{kernels, Kernel};
 use frequenz::sim::{RunStats, SimEngine, SimError, Simulator, VcdTracer};
 use proptest::prelude::*;
 
@@ -338,67 +339,74 @@ fn unvalidated_graph_is_rejected_with_structured_error() {
     }
 }
 
-/// The parallel slack-matching pass picks the same buffers at any job
-/// count: trials are evaluated concurrently but applied in fixed candidate
-/// order. Also sweeps both simulation engines usable inside the pass.
-#[test]
-fn slack_matching_jobs_sweep_is_bit_identical() {
-    for k in kernels::all_kernels_small() {
-        let seed: Vec<_> = k.back_edges().to_vec();
-        for engine in ENGINES {
-            let reference = slack_match(
-                k.graph(),
-                &seed,
-                &SlackOptions {
-                    sim_budget: k.max_cycles * 4,
-                    jobs: 1,
-                    engine,
-                    ..SlackOptions::default()
-                },
-            )
-            .expect("slack matching succeeds");
-            for jobs in [2usize, 8] {
-                let got = slack_match(
-                    k.graph(),
-                    &seed,
-                    &SlackOptions {
-                        sim_budget: k.max_cycles * 4,
-                        jobs,
-                        engine,
-                        ..SlackOptions::default()
-                    },
-                )
-                .expect("slack matching succeeds");
-                assert_eq!(
-                    got, reference,
-                    "{}: jobs={jobs} engine={engine:?} diverged",
-                    k.name
-                );
-            }
-        }
+/// One slack-matching pass on `k` through the caller's synthesis cache:
+/// the buffers it picks and the trials it ran (and pruned) to pick them.
+fn slack_outcome(
+    k: &Kernel,
+    engine: SimEngine,
+    jobs: usize,
+    cache: &SynthCache,
+) -> (Vec<ChannelId>, u64, u64) {
+    let opts = SlackOptions {
+        sim_budget: k.max_cycles * 4,
+        jobs,
+        engine,
+        ..SlackOptions::default()
+    };
+    let mut trace = FlowTrace::default();
+    let buffers = slack_match_traced(k.graph(), k.back_edges(), &opts, cache, &mut trace)
+        .expect("slack matching succeeds");
+    (buffers, trace.slack_trials, trace.slack_trials_pruned)
+}
+
+/// Asserts `engine`'s slack pass on `k` is identical at jobs 1, 2 and 8.
+fn assert_slack_jobs_invariant(k: &Kernel, engine: SimEngine) {
+    let cache = SynthCache::new();
+    let reference = slack_outcome(k, engine, 1, &cache);
+    for jobs in [2usize, 8] {
+        assert_eq!(
+            slack_outcome(k, engine, jobs, &cache),
+            reference,
+            "{}: jobs={jobs} engine={engine:?} diverged",
+            k.name
+        );
     }
 }
 
-/// The two slack engines must choose the same buffer set: simulation is
-/// bit-identical, so the greedy pass sees identical cycle counts.
+/// The parallel slack-matching pass picks the same buffers after the same
+/// trials at any job count: trials are evaluated concurrently but applied
+/// in fixed candidate order. Sweeps both engines on the reduced kernels
+/// and the compiled engine on the full-size ones.
+#[test]
+fn slack_matching_jobs_sweep_is_bit_identical() {
+    for k in kernels::all_kernels_small() {
+        for engine in ENGINES {
+            assert_slack_jobs_invariant(&k, engine);
+        }
+    }
+    for k in kernels::all_kernels() {
+        assert_slack_jobs_invariant(&k, SimEngine::Compiled);
+    }
+}
+
+/// The two slack engines must choose the same buffer set after the same
+/// trials: simulation is bit-identical, so the greedy pass sees identical
+/// cycle counts. Reduced kernels at jobs 2, full-size kernels at jobs 1.
 #[test]
 fn slack_matching_engines_agree() {
-    for k in kernels::all_kernels_small() {
-        let seed: Vec<_> = k.back_edges().to_vec();
-        let mut picks = Vec::new();
-        for engine in ENGINES {
-            let opts = SlackOptions {
-                sim_budget: k.max_cycles * 4,
-                jobs: 2,
-                engine,
-                ..SlackOptions::default()
-            };
-            picks.push(slack_match(k.graph(), &seed, &opts).expect("slack matching succeeds"));
+    let sets = [
+        (kernels::all_kernels_small(), 2),
+        (kernels::all_kernels(), 1),
+    ];
+    for (set, jobs) in sets {
+        for k in set {
+            let cache = SynthCache::new();
+            let picks = ENGINES.map(|engine| slack_outcome(&k, engine, jobs, &cache));
+            assert_eq!(
+                picks[0], picks[1],
+                "{}: engines picked different buffers",
+                k.name
+            );
         }
-        assert_eq!(
-            picks[0], picks[1],
-            "{}: engines picked different buffers",
-            k.name
-        );
     }
 }
