@@ -59,12 +59,11 @@ pub struct FlowOptions {
     /// The MILP objective (Eq. 3 by default; area-only for the ablation).
     pub objective: crate::place::Objective,
     /// Worker threads shared by every parallel stage of the flow: the
-    /// level-synchronous FlowMap labeler and LUT packer
-    /// ([`SynthOptions::jobs`](crate::SynthOptions)), the per-unit
-    /// baseline characterization, and the slack-matching trial pool
-    /// ([`SlackOptions::jobs`](crate::SlackOptions)). Every one of those
-    /// stages is bit-identical at any job count; 0 is invalid (rejected by
-    /// [`FlowOptions::validate`]).
+    /// FlowMap LUT packer ([`SynthOptions::jobs`](crate::SynthOptions)),
+    /// the per-unit baseline characterization, and the slack-matching
+    /// trial pool ([`SlackOptions::jobs`](crate::SlackOptions)). Every one
+    /// of those stages is bit-identical at any job count; 0 is invalid
+    /// (rejected by [`FlowOptions::validate`]).
     pub jobs: usize,
     /// Carry each iteration's optimal MILP basis and incumbent into the
     /// next iteration's solve ([`milp::MilpWarmStore`]). Warm starts are
@@ -503,15 +502,11 @@ pub(crate) fn synth_step(
         if !delta.cache_hit {
             if delta.incremental {
                 trace.synth_incremental += dt;
-                trace.incr_synths += 1;
             } else {
                 trace.synth_full += dt;
-                trace.full_synths += 1;
             }
         }
-        trace.labels_reused += delta.labels_reused as u64;
-        trace.labels_computed += delta.labels_computed as u64;
-        trace.par_pack_tasks += delta.luts_packed as u64;
+        trace.record_synth(delta);
     }
     out.map(|(h, _)| h)
 }

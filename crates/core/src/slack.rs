@@ -336,7 +336,9 @@ pub fn slack_match(
 ///
 /// The pass re-synthesizes every accepted candidate to re-check the level
 /// budget; probing the same buffer set twice (or re-checking the set the
-/// enclosing flow just synthesized) then hits the cache.
+/// enclosing flow just synthesized) then hits the cache. A probe's work
+/// goes into the synthesis counters ([`FlowTrace::record_synth`]) and its
+/// time into `trace.slack` only.
 ///
 /// # Errors
 ///
@@ -443,8 +445,13 @@ fn slack_match_inner(
                     k: opts.k,
                     jobs: opts.jobs,
                 };
-                let levels = match cache.synthesize_opts(&gt, &synth_opts) {
-                    Ok(s) => s.logic_levels(),
+                // Counted like every synthesis of the flow; its time stays
+                // in `slack`, which times the whole pass.
+                let levels = match cache.synthesize_with_basis_opts(&gt, &synth_opts, None) {
+                    Ok((s, delta)) => {
+                        trace.record_synth(&delta);
+                        s.synthesis().logic_levels()
+                    }
                     Err(_) => continue,
                 };
                 if levels <= opts.target_levels {

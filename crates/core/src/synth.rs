@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex};
 pub struct SynthOptions {
     /// LUT input count (the paper's K = 6).
     pub k: usize,
-    /// Worker threads for the level-synchronous FlowMap labeler and LUT
-    /// packing. Results are bit-identical at any value — jobs only trades
+    /// Worker threads for FlowMap's LUT packing (labeling is serial).
+    /// Results are bit-identical at any value — jobs only trades
     /// wall clock, which is why it is *not* part of the synthesis cache
     /// key. Must be ≥ 1 ([`FlowOptions::validate`](crate::FlowOptions)
     /// rejects 0).

@@ -10,13 +10,16 @@
 //! durations.
 
 use crate::place::PlacementResult;
+use crate::synth::SynthDelta;
 use std::time::{Duration, Instant};
 
 /// Wall-clock and cache accounting for one flow run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowTrace {
     /// Time spent synthesizing (elaborate + optimize + LUT map), cache
-    /// misses only — cache hits cost effectively nothing.
+    /// misses only — cache hits cost effectively nothing. The slack pass's
+    /// level probes are billed to `slack` instead, though their work is
+    /// counted in the synthesis counters below.
     pub synth: Duration,
     /// Time spent mapping LUT edges back onto the DFG, building
     /// mapping-aware (or baseline) timing models, extracting CFDFCs and
@@ -165,6 +168,24 @@ impl FlowTrace {
         self.milp_bounds_tightened += p.milp_bounds_tightened;
         self.milp_warm_hits += p.milp_warm_hits;
         self.milp_warm_misses += p.milp_warm_misses;
+    }
+
+    /// Merges the work counters of one synthesis request into the
+    /// synthesis lane (its wall clock is billed by the caller): a miss
+    /// counts as a full or incremental synthesis, and its labels and
+    /// packed LUTs are added. Every miss of a flow passes through here,
+    /// so `full_synths + incr_synths` equals the flow's cache misses.
+    pub fn record_synth(&mut self, delta: &SynthDelta) {
+        if !delta.cache_hit {
+            if delta.incremental {
+                self.incr_synths += 1;
+            } else {
+                self.full_synths += 1;
+            }
+        }
+        self.labels_reused += delta.labels_reused as u64;
+        self.labels_computed += delta.labels_computed as u64;
+        self.par_pack_tasks += delta.luts_packed as u64;
     }
 
     /// Merges a batch of simulator-run stats into the `sim` lane.

@@ -106,9 +106,6 @@ pub struct Channel {
     pub(crate) dst: PortRef,
     pub(crate) width: u16,
     pub(crate) buffer: BufferSpec,
-    /// Initial token count (used on loop back-edges of marked-graph style
-    /// control rings; normally 0 — tokens are injected by Entry/Argument).
-    pub(crate) initial_tokens: u32,
 }
 
 impl Channel {
@@ -130,11 +127,6 @@ impl Channel {
     /// Buffering currently placed on this channel.
     pub fn buffer(&self) -> BufferSpec {
         self.buffer
-    }
-
-    /// Initial tokens present on the channel at reset.
-    pub fn initial_tokens(&self) -> u32 {
-        self.initial_tokens
     }
 }
 

@@ -10,10 +10,10 @@
 //! `(Fingerprint, K)` can serve them from memory.
 //!
 //! The fingerprint covers everything elaboration reads: unit kinds,
-//! names, widths and basic blocks; channel endpoints, widths, *buffer
-//! specs* and initial tokens; memory shapes and initial contents. Two
-//! lanes of independent 64-bit mixing make accidental collisions
-//! (2⁻¹²⁸-ish) irrelevant in practice.
+//! names, widths and basic blocks; channel endpoints, widths and *buffer
+//! specs*; memory shapes and initial contents. Two lanes of independent
+//! 64-bit mixing make accidental collisions (2⁻¹²⁸-ish) irrelevant in
+//! practice.
 
 use crate::graph::Graph;
 use crate::ids::BasicBlockId;
@@ -93,7 +93,6 @@ pub fn fingerprint_graph(g: &Graph) -> Fingerprint {
         ch.width().hash(&mut h);
         ch.buffer().opaque.hash(&mut h);
         ch.buffer().transparent.hash(&mut h);
-        ch.initial_tokens().hash(&mut h);
     }
     for (id, bb) in g.basic_blocks() {
         id.index().hash(&mut h);
@@ -112,12 +111,12 @@ pub fn fingerprint_graph(g: &Graph) -> Fingerprint {
 /// Computes one structural fingerprint per basic block.
 ///
 /// A block's print covers its units (kind, name, width, id) and every
-/// channel *incident* to the block — including the channel's buffer spec
-/// and initial tokens, hashed from both the source and the destination
-/// side. Changing a buffer therefore changes the print of both blocks the
-/// channel touches, which is exactly the dirty set an incremental
-/// re-synthesis has to re-examine: buffer logic splices into the producer's
-/// and the consumer's handshake cones.
+/// channel *incident* to the block — including the channel's buffer spec,
+/// hashed from both the source and the destination side. Changing a
+/// buffer therefore changes the print of both blocks the channel touches,
+/// which is exactly the dirty set an incremental re-synthesis has to
+/// re-examine: buffer logic splices into the producer's and the
+/// consumer's handshake cones.
 ///
 /// The result is ordered by block id, one entry per block of `g`.
 pub fn fingerprint_bbs(g: &Graph) -> Vec<(BasicBlockId, Fingerprint)> {
@@ -150,7 +149,6 @@ pub fn fingerprint_bbs(g: &Graph) -> Vec<(BasicBlockId, Fingerprint)> {
             ch.width().hash(h);
             ch.buffer().opaque.hash(h);
             ch.buffer().transparent.hash(h);
-            ch.initial_tokens().hash(h);
             if src_bb == dst_bb {
                 break; // intra-block channels hash once
             }

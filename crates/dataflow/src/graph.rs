@@ -174,7 +174,6 @@ impl Graph {
             dst,
             width: src_width,
             buffer: BufferSpec::NONE,
-            initial_tokens: 0,
         });
         self.output_of[src.unit.index()][src.port] = Some(id);
         self.input_of[dst.unit.index()][dst.port] = Some(id);

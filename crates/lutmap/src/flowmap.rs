@@ -11,33 +11,27 @@
 //!
 //! Labels and cuts live in flat arrays indexed by a *dense* per-netlist
 //! logic-gate index (assigned in topological order); cuts share one pooled
-//! arena addressed by `(offset, len)` spans. The per-gate max-flow scratch
-//! (cone marks, local indices, the flow network, BFS state) is allocated
-//! once per worker and reused across gates with epoch-stamped visited
-//! sets, so the hot loop performs no hashing and no per-gate allocation.
+//! arena addressed by `(offset, len)` spans. Gates are labeled serially in
+//! that order.
 //!
-//! # Level-synchronous parallelism
+//! # The max-flow test without a network
 //!
-//! A gate's label is a pure function of its fanin cone and the labels of
-//! that cone — all at strictly lower topological *levels* (a gate's level
-//! is `1 + max` over its logic fanins). Gates of one level therefore have
-//! independent labels given the levels below, and are fanned out over
-//! scoped worker threads. Results are committed in ascending dense (= topo)
-//! order and the reuse counters are summed over chunks in that same order,
-//! so labels, chosen cuts, and all [`MapStats`] counters are bit-identical
-//! at any job count. `crate::reference` retains the original serial
-//! `HashMap`-backed labeler as the oracle this equivalence is tested
-//! against.
+//! Node capacities are 1, so each gate carries at most one unit of flow,
+//! and where it goes (a fanout gate, the sink, or nowhere) is the whole
+//! residual graph. [`LabelScratch`] keeps that state per gate, epoch-stamped,
+//! and each augmenting path is searched backwards from the sink with the
+//! neighbours derived on the fly from the view's fanins. A path search
+//! thus starts next to the collapsed region at the top of the cone and
+//! stops at the first startpoint it reaches, instead of sweeping the cone
+//! from its bottom. The cut is read off the final, failing search, which
+//! the theory makes independent of the paths taken; `crate::reference`
+//! retains the original explicit-network labeler as the oracle that pins
+//! every label and cut.
 
 use netlist::{GateId, Netlist, NetlistMatching};
 
 /// Sentinel for "no dense index" / "unmatched gate".
 const NONE: u32 = u32::MAX;
-/// Local-index sentinel marking a collapsed (sink-merged) cone node.
-const COLLAPSED: u32 = u32::MAX;
-/// Minimum gates in one topological level before it is worth fanning the
-/// level out over threads (below this, scoped-thread setup dominates).
-const PAR_MIN_GATES: usize = 48;
 
 /// The combinational DAG view of a netlist: live logic gates with resolved
 /// (alias-free) fanins, stored as flat arrays indexed by a dense logic
@@ -52,11 +46,6 @@ pub(crate) struct CombView {
     /// `fanin_pool[fanin_offs[d]..fanin_offs[d + 1]]`.
     fanin_offs: Vec<u32>,
     fanin_pool: Vec<GateId>,
-    /// Gates of topological level `l + 1` are
-    /// `schedule[level_offs[l]..level_offs[l + 1]]` (dense indices,
-    /// ascending — i.e. in topological order within the level).
-    schedule: Vec<u32>,
-    level_offs: Vec<u32>,
     /// Total gate count of the source netlist (scratch sizing).
     num_gates: usize,
 }
@@ -91,50 +80,11 @@ impl CombView {
             fanin_offs.push(fanin_pool.len() as u32);
         }
 
-        // Topological levels: 1 + max over logic fanins (startpoint-fed
-        // gates are level 1). Fanins precede their gate in `topo`, so one
-        // forward pass suffices.
-        let n = topo.len();
-        let mut level = vec![0u32; n];
-        let mut max_level = 0u32;
-        for d in 0..n {
-            let mut lv = 1;
-            for f in &fanin_pool[fanin_offs[d] as usize..fanin_offs[d + 1] as usize] {
-                let fd = dense[f.index()];
-                if fd != NONE {
-                    lv = lv.max(level[fd as usize] + 1);
-                }
-            }
-            level[d] = lv;
-            max_level = max_level.max(lv);
-        }
-        // Bucket by level with a counting sort: stable, so each bucket
-        // lists its gates in ascending dense (= topological) order.
-        let ml = max_level as usize;
-        // Counts land at index `lv` (= bucket + 1); the inclusive scan then
-        // turns level_offs[b]..level_offs[b + 1] into bucket b's span.
-        let mut level_offs = vec![0u32; ml + 1];
-        for &lv in &level {
-            level_offs[lv as usize] += 1;
-        }
-        for i in 1..level_offs.len() {
-            level_offs[i] += level_offs[i - 1];
-        }
-        let mut cursor = level_offs.clone();
-        let mut schedule = vec![0u32; n];
-        for (d, &lv) in level.iter().enumerate() {
-            let b = (lv - 1) as usize;
-            schedule[cursor[b] as usize] = d as u32;
-            cursor[b] += 1;
-        }
-
         Ok(CombView {
             topo,
             dense,
             fanin_offs,
             fanin_pool,
-            schedule,
-            level_offs,
             num_gates,
         })
     }
@@ -171,16 +121,6 @@ impl CombView {
     #[inline]
     pub fn num_gates(&self) -> usize {
         self.num_gates
-    }
-
-    /// Number of topological levels.
-    fn num_levels(&self) -> usize {
-        self.level_offs.len() - 1
-    }
-
-    /// The dense indices of topological level `l + 1`, ascending.
-    fn level_bucket(&self, l: usize) -> &[u32] {
-        &self.schedule[self.level_offs[l] as usize..self.level_offs[l + 1] as usize]
     }
 }
 
@@ -383,11 +323,10 @@ impl<'a> DenseSeed<'a> {
 /// same refinement classic FlowMap implementations apply.
 #[cfg(test)]
 pub(crate) fn compute_labels(view: &CombView, k: usize, max_volume: bool) -> Labeling {
-    compute_labels_seeded(view, k, max_volume, None, 1).0
+    compute_labels_seeded(view, k, max_volume, None).0
 }
 
-/// [`compute_labels`] with optional reuse of a previous run's results and
-/// level-synchronous parallel labeling over `jobs` scoped threads.
+/// [`compute_labels`] with optional reuse of a previous run's results.
 ///
 /// For every gate the matching pairs with a seed gate, the seed's label
 /// and cut are copied (cut gate ids translated through the matching)
@@ -403,113 +342,35 @@ pub(crate) fn compute_labels_seeded(
     k: usize,
     max_volume: bool,
     seed: Option<(&MapSeed, &NetlistMatching)>,
-    jobs: usize,
 ) -> (Labeling, MapStats) {
-    let n = view.num_logic();
-    let mut labeling = Labeling::with_capacity(n);
+    let mut labeling = Labeling::with_capacity(view.num_logic());
     let mut stats = MapStats::default();
     let dense_seed = seed.map(|(s, m)| DenseSeed::build(s, m, view.num_gates()));
-    let seed_ref = dense_seed.as_ref();
-    let jobs = jobs.max(1);
-
-    let mut scratches: Vec<LabelScratch> = (0..jobs)
-        .map(|_| LabelScratch::new(view.num_gates()))
-        .collect();
-
-    for lvl in 0..view.num_levels() {
-        let bucket = view.level_bucket(lvl);
-        if jobs <= 1 || bucket.len() < PAR_MIN_GATES {
-            // Serial: commit each gate as it is labeled. Gates of one
-            // level never read same-level labels (only strictly lower
-            // levels appear in a fanin cone), so interleaving commits with
-            // computation changes nothing.
-            let scratch = &mut scratches[0];
-            for &d in bucket {
-                let t = view.topo[d as usize];
-                let (label, reused) = label_one_gate(
-                    view,
-                    &labeling.label,
-                    seed_ref,
-                    t,
-                    d,
-                    k,
-                    max_volume,
-                    scratch,
-                );
-                if reused {
-                    stats.labels_reused += 1;
-                } else {
-                    stats.labels_computed += 1;
-                }
-                let cut = std::mem::take(&mut scratch.cut_out);
-                labeling.push(d, label, &cut);
-                scratch.cut_out = cut;
-            }
+    let fanouts = (!max_volume).then(|| Fanouts::build(view));
+    let mut scratch = LabelScratch::new(view.num_gates());
+    // Topological order: every fanin cone is labeled before its root.
+    for d in 0..view.num_logic() as u32 {
+        let (label, reused) = label_one_gate(
+            view,
+            &labeling.label,
+            dense_seed.as_ref(),
+            d,
+            k,
+            fanouts.as_ref(),
+            &mut scratch,
+        );
+        if reused {
+            stats.labels_reused += 1;
         } else {
-            // Parallel: fan the level out in contiguous chunks, then
-            // commit chunk results in ascending dense order. The commit
-            // order (and therefore the arena layout, the counters, and
-            // every label/cut) is independent of thread scheduling.
-            let chunk_len = bucket.len().div_ceil(jobs);
-            let chunks: Vec<&[u32]> = bucket.chunks(chunk_len).collect();
-            let labels_ref: &[u32] = &labeling.label;
-            let outs: Vec<ChunkOut> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .zip(scratches.iter_mut())
-                    .map(|(chunk, scratch)| {
-                        let chunk: &[u32] = chunk;
-                        scope.spawn(move || {
-                            let mut out = ChunkOut {
-                                labels: Vec::with_capacity(chunk.len()),
-                                lens: Vec::with_capacity(chunk.len()),
-                                pool: Vec::new(),
-                            };
-                            for &d in chunk {
-                                let t = view.topo[d as usize];
-                                let (label, reused) = label_one_gate(
-                                    view, labels_ref, seed_ref, t, d, k, max_volume, scratch,
-                                );
-                                out.labels.push((label, reused));
-                                out.lens.push(scratch.cut_out.len() as u32);
-                                out.pool.extend_from_slice(&scratch.cut_out);
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            for (chunk, out) in chunks.iter().zip(outs) {
-                let mut pos = 0usize;
-                for ((&d, &(label, reused)), &len) in chunk.iter().zip(&out.labels).zip(&out.lens) {
-                    if reused {
-                        stats.labels_reused += 1;
-                    } else {
-                        stats.labels_computed += 1;
-                    }
-                    labeling.push(d, label, &out.pool[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
-            }
+            stats.labels_computed += 1;
         }
+        labeling.push(d, label, &scratch.cut_out);
     }
     (labeling, stats)
 }
 
-/// One worker chunk's results: per-gate labels plus a private cut pool
-/// (lengths delimit consecutive cuts), merged deterministically.
-struct ChunkOut {
-    labels: Vec<(u32, bool)>,
-    lens: Vec<u32>,
-    pool: Vec<GateId>,
-}
-
 /// The label of `f` as seen by the labeler: 0 for startpoints, the
-/// committed label for logic gates of lower levels.
+/// committed label for logic gates earlier in topological order.
 #[inline]
 fn label_of(view: &CombView, labels: &[u32], f: GateId) -> u32 {
     match view.dense_of(f) {
@@ -518,18 +379,19 @@ fn label_of(view: &CombView, labels: &[u32], f: GateId) -> u32 {
     }
 }
 
-/// Labels one gate; the chosen cut is left in `scratch.cut_out`.
-#[allow(clippy::too_many_arguments)]
+/// Labels one gate; the chosen cut is left in `scratch.cut_out`. With
+/// `source_side` set, the cut is the source-side min cut, else the
+/// sink-side one (see [`compute_labels`]).
 fn label_one_gate(
     view: &CombView,
     labels: &[u32],
     seed: Option<&DenseSeed<'_>>,
-    t: GateId,
     d: u32,
     k: usize,
-    max_volume: bool,
+    source_side: Option<&Fanouts>,
     scratch: &mut LabelScratch,
 ) -> (u32, bool) {
+    let t = view.topo[d as usize];
     if let Some(ds) = seed {
         if let Some((pl, pc)) = ds.lookup(t) {
             if ds.translate(pc, &mut scratch.cut_out) {
@@ -552,7 +414,7 @@ fn label_one_gate(
         scratch.cut_out.extend_from_slice(fanins);
         return (1, false);
     }
-    if min_cut_with_collapsed(view, labels, t, p, k, max_volume, scratch) {
+    if min_cut_with_collapsed(view, labels, t, p, k, source_side, scratch) {
         (p, false)
     } else {
         scratch.cut_out.clear();
@@ -561,333 +423,437 @@ fn label_one_gate(
     }
 }
 
-/// Reusable per-worker scratch for the max-flow label test: epoch-stamped
-/// visited marks sized by the netlist's gate count, the cone/local lists,
-/// and the flow network's buffers. Nothing here is reallocated per gate.
-pub(crate) struct LabelScratch {
-    /// Cone membership marks by gate index (`stamp[g] == epoch`).
+/// Flow state of a gate that carries no flow.
+const NO_FLOW: u32 = u32::MAX;
+/// Flow state of a gate whose unit of flow enters the sink (through a
+/// collapsed fanout).
+const TO_SINK: u32 = u32::MAX - 1;
+/// Search successor of a sink predecessor's out-side: the sink itself.
+const SINK: u32 = u32::MAX;
+
+/// The in-side of gate `g` in the split-node flow network. Gate `g` is
+/// split into an in-side `2g` and an out-side `2g + 1` joined by a
+/// unit-capacity edge; every other edge has infinite capacity.
+#[inline]
+fn in_side(g: GateId) -> usize {
+    2 * g.index()
+}
+
+/// The out-side of gate `g` (see [`in_side`]).
+#[inline]
+fn out_side(g: GateId) -> usize {
+    2 * g.index() + 1
+}
+
+/// The gate a split node belongs to.
+#[inline]
+fn gate_of(node: usize) -> GateId {
+    GateId::from_raw((node >> 1) as u32)
+}
+
+/// Fanouts of every gate within the view's logic, by gate index: the
+/// forward adjacency the source-side cut search needs. Built only when a
+/// caller asks for source-side cuts.
+struct Fanouts {
+    offs: Vec<u32>,
+    pool: Vec<GateId>,
+}
+
+impl Fanouts {
+    fn build(view: &CombView) -> Self {
+        let n = view.num_gates();
+        let mut offs = vec![0u32; n + 1];
+        for d in 0..view.num_logic() as u32 {
+            for f in view.fanins_of(d) {
+                offs[f.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offs[i + 1] += offs[i];
+        }
+        let mut cursor = offs[..n].to_vec();
+        let mut pool = vec![GateId::from_raw(0); offs[n] as usize];
+        for (d, &g) in view.topo.iter().enumerate() {
+            for f in view.fanins_of(d as u32) {
+                pool[cursor[f.index()] as usize] = g;
+                cursor[f.index()] += 1;
+            }
+        }
+        Fanouts { offs, pool }
+    }
+
+    fn of(&self, g: GateId) -> &[GateId] {
+        &self.pool[self.offs[g.index()] as usize..self.offs[g.index() + 1] as usize]
+    }
+}
+
+/// Reusable scratch for the max-flow label test, one per labeling run:
+/// the per-gate flow state that stands for the residual graph (see the
+/// module docs) and the search and walk marks, all epoch-stamped, so
+/// nothing is cleared or reallocated per gate.
+struct LabelScratch {
+    /// Per gate: the epoch of the test that wrote the entry, and the flow
+    /// state ([`NO_FLOW`], [`TO_SINK`], or the fanout gate's index).
+    flow: Vec<(u32, u32)>,
+    /// Per split node: the epoch of the last search that reached it.
+    seen: Vec<u32>,
+    /// Per split node: the node it was reached from, one step nearer the
+    /// sink (the backward search) — valid where `seen` is current.
+    succ: Vec<u32>,
+    /// Per gate: the epoch of the last collapsed-region or cone walk that
+    /// visited it.
     stamp: Vec<u32>,
-    /// Local flow-node index by gate index (valid when stamped);
-    /// [`COLLAPSED`] marks sink-merged nodes.
-    local_idx: Vec<u32>,
     epoch: u32,
+    /// The epoch of the current test; flow entries of older tests read as
+    /// [`NO_FLOW`].
+    test: u32,
+    /// The sink's predecessors: non-collapsed fanins of the collapsed
+    /// region.
+    sink_preds: Vec<GateId>,
+    /// The cone in walk order (source-side cuts only).
     cone: Vec<GateId>,
-    locals: Vec<GateId>,
-    stack: Vec<GateId>,
+    stack: Vec<u32>,
     /// The chosen cut of the most recent gate.
-    pub cut_out: Vec<GateId>,
-    flow: FlowScratch,
+    cut_out: Vec<GateId>,
 }
 
 impl LabelScratch {
-    pub fn new(num_gates: usize) -> Self {
+    fn new(num_gates: usize) -> Self {
+        assert!(num_gates < 1 << 31, "split-node ids must fit in u32");
         LabelScratch {
+            flow: vec![(0, NO_FLOW); num_gates],
+            seen: vec![0; 2 * num_gates],
+            succ: vec![0; 2 * num_gates],
             stamp: vec![0; num_gates],
-            local_idx: vec![0; num_gates],
             epoch: 0,
+            test: 0,
+            sink_preds: Vec::new(),
             cone: Vec::new(),
-            locals: Vec::new(),
             stack: Vec::new(),
             cut_out: Vec::new(),
-            flow: FlowScratch::default(),
         }
     }
 
-    fn next_epoch(&mut self) -> u32 {
-        if self.epoch == u32::MAX {
+    /// Starts one max-flow test. A test draws at most `k + 5` epochs (its
+    /// own, the collapsed-region walk's, `k + 1` searches, the cone walk's
+    /// and the source-side search's), so the counter is reset here, never
+    /// in the middle of a test.
+    fn begin_test(&mut self, k: usize) {
+        if ((u32::MAX - self.epoch) as usize) < k.saturating_add(5) {
+            self.flow.iter_mut().for_each(|f| f.0 = 0);
+            self.seen.iter_mut().for_each(|s| *s = 0);
             self.stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 0;
         }
+        self.test = self.next_epoch();
+    }
+
+    fn next_epoch(&mut self) -> u32 {
         self.epoch += 1;
         self.epoch
+    }
+
+    /// The flow state of gate `g` in the current test.
+    #[inline]
+    fn flow_of(&self, g: GateId) -> u32 {
+        match self.flow[g.index()] {
+            (e, to) if e == self.test => to,
+            _ => NO_FLOW,
+        }
+    }
+
+    /// Marks `node` reached in the search of `epoch`, `from` one step
+    /// nearer the sink; `false` if it was reached already.
+    #[inline]
+    fn reach(&mut self, node: usize, from: u32, epoch: u32) -> bool {
+        if self.seen[node] == epoch {
+            return false;
+        }
+        self.seen[node] = epoch;
+        self.succ[node] = from;
+        true
+    }
+
+    /// Collects the sink's predecessors: walks down from `t` through the
+    /// label-`p` logic gates (the collapsed region, which labels being
+    /// monotone keeps connected) and lists each other fanin once.
+    fn collect_sink_preds(&mut self, view: &CombView, labels: &[u32], t: GateId, p: u32) {
+        let e = self.next_epoch();
+        self.sink_preds.clear();
+        self.stack.clear();
+        self.stack.push(t.index() as u32);
+        self.stamp[t.index()] = e;
+        while let Some(c) = self.stack.pop() {
+            let dc = view.dense[c as usize];
+            for &f in view.fanins_of(dc) {
+                if self.stamp[f.index()] == e {
+                    continue;
+                }
+                self.stamp[f.index()] = e;
+                match view.dense_of(f) {
+                    Some(df) if labels[df as usize] == p => self.stack.push(f.index() as u32),
+                    _ => self.sink_preds.push(f),
+                }
+            }
+        }
+    }
+
+    /// One augmenting-path search, backwards from the sink over reversed
+    /// residual edges:
+    /// - the sink's predecessors are the out-sides of `sink_preds`;
+    /// - an out-side's predecessor is its own in-side if the gate carries
+    ///   no flow, else the in-side of the gate its flow enters (cancelling
+    ///   that flow);
+    /// - an in-side's predecessors are its fanins' out-sides and, if the
+    ///   gate carries flow, its own out-side. The source feeds every
+    ///   startpoint's in-side, so reaching one completes a path.
+    ///
+    /// On success one unit of flow is pushed along the path. On failure
+    /// the search has reached exactly the nodes that can reach the sink.
+    fn augment(&mut self, view: &CombView) -> bool {
+        let e = self.next_epoch();
+        self.stack.clear();
+        let preds = std::mem::take(&mut self.sink_preds);
+        for &f in &preds {
+            if self.reach(out_side(f), SINK, e) {
+                self.stack.push(out_side(f) as u32);
+            }
+        }
+        self.sink_preds = preds;
+        while let Some(v) = self.stack.pop() {
+            let v = v as usize;
+            let g = gate_of(v);
+            let flow = self.flow_of(g);
+            if v == out_side(g) {
+                let w = match flow {
+                    NO_FLOW => g,
+                    TO_SINK => continue,
+                    w => GateId::from_raw(w),
+                };
+                if self.reach(in_side(w), v as u32, e) {
+                    if !view.is_logic(w) {
+                        self.push_path(in_side(w));
+                        return true;
+                    }
+                    self.stack.push(in_side(w) as u32);
+                }
+            } else {
+                // Only logic gates' in-sides are stacked.
+                for &f in view.fanins_of(view.dense[g.index()]) {
+                    if self.reach(out_side(f), v as u32, e) {
+                        self.stack.push(out_side(f) as u32);
+                    }
+                }
+                if flow != NO_FLOW && self.reach(out_side(g), v as u32, e) {
+                    self.stack.push(out_side(g) as u32);
+                }
+            }
+        }
+        false
+    }
+
+    /// Pushes one unit of flow from the startpoint in-side `start` to the
+    /// sink along the search's successor links. Each out-side on the path
+    /// takes its flow state from the step that leaves it: into another
+    /// gate's in-side (that gate), into the sink, or back into its own
+    /// in-side (the gate's flow is cancelled).
+    fn push_path(&mut self, start: usize) {
+        let mut v = start;
+        loop {
+            let next = self.succ[v];
+            let g = gate_of(v);
+            if v == out_side(g) {
+                let to = if next == SINK {
+                    TO_SINK
+                } else if gate_of(next as usize) == g {
+                    NO_FLOW
+                } else {
+                    next >> 1
+                };
+                self.flow[g.index()] = (self.test, to);
+            }
+            if next == SINK {
+                return;
+            }
+            v = next as usize;
+        }
+    }
+
+    /// The sink-side cut of the current (maximum) flow, read off the final
+    /// search, which failed: every gate whose out-side that search reached
+    /// and whose in-side it did not. The cut has `total` gates (the flow
+    /// value), so the cone walk that orders them stops at the last one.
+    fn sink_side_cut(&mut self, view: &CombView, t: GateId, total: usize) {
+        let last = self.epoch;
+        let walk = self.next_epoch();
+        let LabelScratch {
+            seen,
+            stamp,
+            stack,
+            cut_out,
+            ..
+        } = self;
+        walk_cone(view, t, stamp, walk, stack, |u| {
+            if seen[out_side(u)] == last && seen[in_side(u)] != last {
+                cut_out.push(u);
+            }
+            cut_out.len() < total
+        });
+    }
+
+    /// The source-side cut of the current (maximum) flow: a forward
+    /// residual search from the cone's startpoints, then every gate whose
+    /// in-side it reached and whose out-side it did not, in cone walk
+    /// order. The search stays inside `t`'s cone and out of the collapsed
+    /// region.
+    fn source_side_cut(
+        &mut self,
+        view: &CombView,
+        fanouts: &Fanouts,
+        t: GateId,
+        collapsed: impl Fn(GateId) -> bool,
+    ) {
+        let walk = self.next_epoch();
+        let LabelScratch {
+            stamp, stack, cone, ..
+        } = self;
+        cone.clear();
+        walk_cone(view, t, stamp, walk, stack, |u| {
+            cone.push(u);
+            true
+        });
+        let e = self.next_epoch();
+        self.stack.clear();
+        let cone = std::mem::take(&mut self.cone);
+        for &u in &cone {
+            if !view.is_logic(u) && self.reach(in_side(u), 0, e) {
+                self.stack.push(in_side(u) as u32);
+            }
+        }
+        self.cone = cone;
+        while let Some(v) = self.stack.pop() {
+            let v = v as usize;
+            let g = gate_of(v);
+            let flow = self.flow_of(g);
+            let next = |s: &mut Self, node: usize| {
+                if s.reach(node, 0, e) {
+                    s.stack.push(node as u32);
+                }
+            };
+            if v == out_side(g) {
+                for &w in fanouts.of(g) {
+                    if self.stamp[w.index()] == walk && !collapsed(w) {
+                        next(self, in_side(w));
+                    }
+                }
+                if flow != NO_FLOW {
+                    next(self, in_side(g));
+                }
+            } else {
+                if flow == NO_FLOW {
+                    next(self, out_side(g));
+                }
+                if let Some(d) = view.dense_of(g) {
+                    for &f in view.fanins_of(d) {
+                        if self.flow_of(f) == g.index() as u32 {
+                            next(self, out_side(f));
+                        }
+                    }
+                }
+            }
+        }
+        let LabelScratch {
+            seen,
+            cone,
+            cut_out,
+            ..
+        } = self;
+        cut_out.extend(
+            cone.iter()
+                .filter(|u| seen[in_side(**u)] == e && seen[out_side(**u)] != e),
+        );
+    }
+}
+
+/// Walks `t`'s fanin cone depth first, calling `visit` on each gate in pop
+/// order until it returns `false`. This is the order in which the
+/// reference labeler numbers the cone's flow-network nodes, and so the
+/// order in which it lists a cut.
+fn walk_cone(
+    view: &CombView,
+    t: GateId,
+    stamp: &mut [u32],
+    epoch: u32,
+    stack: &mut Vec<u32>,
+    mut visit: impl FnMut(GateId) -> bool,
+) {
+    stack.clear();
+    stack.push(t.index() as u32);
+    stamp[t.index()] = epoch;
+    while let Some(u) = stack.pop() {
+        let u = GateId::from_raw(u);
+        if !visit(u) {
+            return;
+        }
+        if let Some(du) = view.dense_of(u) {
+            for &f in view.fanins_of(du) {
+                if stamp[f.index()] != epoch {
+                    stamp[f.index()] = epoch;
+                    stack.push(f.index() as u32);
+                }
+            }
+        }
     }
 }
 
 /// Max-flow test: collapse `t` and all cone nodes labeled `p` into the
-/// sink; if a node cut of size ≤ k exists between startpoint leaves and
-/// the sink, leave it in `scratch.cut_out` (as netlist gates) and return
-/// `true`. The cone walk, flow-network construction, BFS tie-breaking and
-/// cut extraction reproduce the reference labeler step for step, so the
-/// chosen cut (not just its size) is bit-identical.
+/// sink; if a node cut of size ≤ k exists between the startpoints and the
+/// sink, leave it in `scratch.cut_out` (as netlist gates) and return
+/// `true`.
+///
+/// Augmenting paths are searched from the sink (see
+/// [`LabelScratch::augment`]), at most `k + 1` of them. Every maximum flow
+/// leaves the same set of nodes that can reach the sink, and the same set
+/// reachable from the source, so the sink-side cut read off the final,
+/// failing search (and the source-side cut, when `source_side` carries the
+/// fanouts it needs) equals the reference labeler's whichever paths were
+/// taken. It is listed in the reference's order: the cone's depth-first
+/// pop order.
 fn min_cut_with_collapsed(
     view: &CombView,
     labels: &[u32],
     t: GateId,
     p: u32,
     k: usize,
-    max_volume: bool,
+    source_side: Option<&Fanouts>,
     scratch: &mut LabelScratch,
 ) -> bool {
-    let epoch = scratch.next_epoch();
-    let LabelScratch {
-        stamp,
-        local_idx,
-        cone,
-        locals,
-        stack,
-        cut_out,
-        flow,
-        ..
-    } = scratch;
-
-    // 1. Collect the cone of t: internal logic nodes and startpoint leaves.
-    cone.clear();
-    locals.clear();
-    stack.clear();
-    stack.push(t);
-    stamp[t.index()] = epoch;
-    while let Some(u) = stack.pop() {
-        cone.push(u);
-        if let Some(du) = view.dense_of(u) {
-            for &f in view.fanins_of(du) {
-                if stamp[f.index()] != epoch {
-                    stamp[f.index()] = epoch;
-                    stack.push(f);
-                }
-            }
-        }
-    }
-
-    // 2. Local indexing. Collapsed nodes (t and label==p internals) merge
-    //    into the sink.
-    for &u in cone.iter() {
-        let du = view.dense_of(u);
-        let is_collapsed = (u == t || du.map_or(0, |d| labels[d as usize]) == p) && du.is_some();
-        if is_collapsed {
-            local_idx[u.index()] = COLLAPSED;
-        } else {
-            local_idx[u.index()] = locals.len() as u32;
-            locals.push(u);
-        }
-    }
-
-    // Flow network: node 0 = source, node 1 = sink; local node i has
-    // in = 2 + 2i, out = 2 + 2i + 1; in→out capacity 1.
-    let n_nodes = 2 + 2 * locals.len();
-    flow.reset(n_nodes);
-    const INF: i32 = i32::MAX / 2;
-    for (i, &u) in locals.iter().enumerate() {
-        let (uin, uout) = (2 + 2 * i, 2 + 2 * i + 1);
-        flow.add_edge(uin, uout, 1);
-        if !view.is_logic(u) {
-            // Startpoint leaf: fed by the source.
-            flow.add_edge(0, uin, INF);
-        }
-    }
-    // DAG edges within the cone (every fanin of a cone node is in the cone).
-    for &u in cone.iter() {
-        if let Some(du) = view.dense_of(u) {
-            let udst = if local_idx[u.index()] == COLLAPSED {
-                1 // edges into collapsed nodes go to the sink
-            } else {
-                2 + 2 * local_idx[u.index()] as usize
-            };
-            for &f in view.fanins_of(du) {
-                if local_idx[f.index()] == COLLAPSED {
-                    continue; // labels are monotone; S→non-S edges don't occur
-                }
-                let fout = 2 + 2 * local_idx[f.index()] as usize + 1;
-                flow.add_edge(fout, udst, INF);
-            }
-        }
-    }
-    flow.build_adj();
-
-    // 3. Max-flow with early abort once flow exceeds k.
+    scratch.begin_test(k);
+    scratch.collect_sink_preds(view, labels, t, p);
     let mut total = 0usize;
-    while total <= k {
-        if flow.augment(0, 1) {
-            total += 1;
-        } else {
-            break;
-        }
+    while total <= k && scratch.augment(view) {
+        total += 1;
     }
     if total > k {
         return false;
     }
 
-    // 4. Min cut. Source-side: nodes whose in-side is reachable from the
-    //    source in the residual graph but whose out-side is not.
-    //    Sink-side (max volume): nodes whose out-side reaches the sink but
-    //    whose in-side does not.
-    cut_out.clear();
-    if max_volume {
-        let reach = flow.residual_reaching(1);
-        for (i, &u) in locals.iter().enumerate() {
-            let (uin, uout) = (2 + 2 * i, 2 + 2 * i + 1);
-            if reach[uout] && !reach[uin] {
-                cut_out.push(u);
-            }
-        }
-    } else {
-        let reach = flow.residual_reachable(0);
-        for (i, &u) in locals.iter().enumerate() {
-            let (uin, uout) = (2 + 2 * i, 2 + 2 * i + 1);
-            if reach[uin] && !reach[uout] {
-                cut_out.push(u);
-            }
-        }
+    scratch.cut_out.clear();
+    match source_side {
+        None => scratch.sink_side_cut(view, t, total),
+        Some(fanouts) => scratch.source_side_cut(view, fanouts, t, |u| {
+            u == t || view.dense_of(u).is_some_and(|d| labels[d as usize] == p)
+        }),
     }
-    debug_assert!(cut_out.len() <= k, "min cut exceeded K");
-    debug_assert!(!cut_out.is_empty(), "empty cut for {t}");
+    debug_assert!(scratch.cut_out.len() <= k, "min cut exceeded K");
+    debug_assert!(!scratch.cut_out.is_empty(), "empty cut for {t}");
     true
-}
-
-/// A small max-flow network (BFS augmenting paths) over reusable buffers.
-///
-/// Edges are recorded flat (`e ^ 1` is the reverse of `e`), then a CSR
-/// adjacency is built in one counting pass — the per-node edge order is
-/// insertion order, exactly like the reference implementation's
-/// `Vec<Vec<usize>>`, so BFS tie-breaking (and therefore the residual
-/// graph and the extracted cut) is identical.
-#[derive(Default)]
-struct FlowScratch {
-    n: usize,
-    from: Vec<u32>,
-    to: Vec<u32>,
-    cap: Vec<i32>,
-    adj_offs: Vec<u32>,
-    adj: Vec<u32>,
-    prev_edge: Vec<u32>,
-    visit: Vec<u32>,
-    vepoch: u32,
-    queue: Vec<u32>,
-    reach: Vec<bool>,
-}
-
-impl FlowScratch {
-    fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.from.clear();
-        self.to.clear();
-        self.cap.clear();
-        if self.visit.len() < n {
-            self.visit.resize(n, 0);
-            self.prev_edge.resize(n, 0);
-        }
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize, cap: i32) {
-        self.from.push(from as u32);
-        self.to.push(to as u32);
-        self.cap.push(cap);
-        self.from.push(to as u32);
-        self.to.push(from as u32);
-        self.cap.push(0);
-    }
-
-    fn build_adj(&mut self) {
-        self.adj_offs.clear();
-        self.adj_offs.resize(self.n + 1, 0);
-        for &f in &self.from {
-            self.adj_offs[f as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            self.adj_offs[i + 1] += self.adj_offs[i];
-        }
-        self.adj.resize(self.from.len(), 0);
-        let mut cursor: Vec<u32> = self.adj_offs[..self.n].to_vec();
-        for (e, &f) in self.from.iter().enumerate() {
-            self.adj[cursor[f as usize] as usize] = e as u32;
-            cursor[f as usize] += 1;
-        }
-    }
-
-    fn next_vepoch(&mut self) -> u32 {
-        if self.vepoch == u32::MAX {
-            self.visit.iter_mut().for_each(|v| *v = 0);
-            self.vepoch = 0;
-        }
-        self.vepoch += 1;
-        self.vepoch
-    }
-
-    /// Pushes one unit of flow along a shortest augmenting path.
-    fn augment(&mut self, s: usize, t: usize) -> bool {
-        let e = self.next_vepoch();
-        self.queue.clear();
-        self.visit[s] = e;
-        self.queue.push(s as u32);
-        let mut head = 0usize;
-        'bfs: while head < self.queue.len() {
-            let u = self.queue[head] as usize;
-            head += 1;
-            for idx in self.adj_offs[u]..self.adj_offs[u + 1] {
-                let ed = self.adj[idx as usize] as usize;
-                let v = self.to[ed] as usize;
-                if self.cap[ed] > 0 && self.visit[v] != e {
-                    self.visit[v] = e;
-                    self.prev_edge[v] = ed as u32;
-                    if v == t {
-                        break 'bfs;
-                    }
-                    self.queue.push(v as u32);
-                }
-            }
-        }
-        if self.visit[t] != e {
-            return false;
-        }
-        // All augmenting paths carry exactly 1 unit (node capacities are 1).
-        let mut v = t;
-        while v != s {
-            let ed = self.prev_edge[v] as usize;
-            self.cap[ed] -= 1;
-            self.cap[ed ^ 1] += 1;
-            v = self.to[ed ^ 1] as usize;
-        }
-        true
-    }
-
-    /// Nodes that can reach `t` through residual-capacity edges.
-    fn residual_reaching(&mut self, t: usize) -> &[bool] {
-        self.reach.clear();
-        self.reach.resize(self.n, false);
-        self.reach[t] = true;
-        // Fixpoint over incoming residual edges (edge u→v with cap > 0
-        // lets u reach whatever v reaches).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for ed in 0..self.to.len() {
-                if self.cap[ed] > 0 {
-                    let u = self.from[ed] as usize;
-                    let v = self.to[ed] as usize;
-                    if self.reach[v] && !self.reach[u] {
-                        self.reach[u] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        &self.reach
-    }
-
-    /// Nodes reachable from `s` in the residual graph.
-    fn residual_reachable(&mut self, s: usize) -> &[bool] {
-        self.reach.clear();
-        self.reach.resize(self.n, false);
-        self.queue.clear();
-        self.queue.push(s as u32);
-        self.reach[s] = true;
-        while let Some(u) = self.queue.pop() {
-            let u = u as usize;
-            for idx in self.adj_offs[u]..self.adj_offs[u + 1] {
-                let ed = self.adj[idx as usize] as usize;
-                let v = self.to[ed] as usize;
-                if self.cap[ed] > 0 && !self.reach[v] {
-                    self.reach[v] = true;
-                    self.queue.push(v as u32);
-                }
-            }
-        }
-        &self.reach
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{map_netlist_reference, LutInput, MapOptions};
     use netlist::Origin;
 
     const O: Origin = Origin::External;
@@ -985,27 +951,65 @@ mod tests {
         assert_eq!(cut, vec![a, b]);
     }
 
+    /// A cone whose maximum flow needs a cancellation. The sink feeders
+    /// `a = !s1` and `b = s1 & s2` share `s1`, and only `b` has a second
+    /// startpoint; `w`, a five-input AND (label 2 at K = 3 and 4), makes
+    /// `a`, `b` and `w`'s two fanins the sink's predecessors when `t` is
+    /// labeled. In one of the four fanin orders the search sends its first
+    /// path for `b` through `s1`, and the path for `a` must then move `b`'s
+    /// flow onto `s2`. Label and cut must equal the reference labeler's in
+    /// both cut modes, whether the flow reaches K (label 2 at K = 4) or
+    /// exceeds it (label 3 at K = 3).
     #[test]
-    fn parallel_labeling_is_bit_identical() {
-        // Wide level: 64 independent AND trees, then a reduction — enough
-        // gates per level to trigger the parallel path at jobs > 1.
-        let mut nl = Netlist::new();
-        let mut roots = Vec::new();
-        for _ in 0..64 {
-            let ins: Vec<GateId> = (0..4).map(|_| nl.input(O)).collect();
-            roots.push(nl.and_tree(&ins, O));
-        }
-        let top = nl.and_tree(&roots, O);
-        nl.add_keep(top, "out");
-        let view = CombView::build(&nl).unwrap();
-        for mv in [false, true] {
-            let (serial, s1) = compute_labels_seeded(&view, 4, mv, None, 1);
-            for jobs in [2usize, 3, 8] {
-                let (par, sj) = compute_labels_seeded(&view, 4, mv, None, jobs);
-                assert_eq!(s1, sj, "stats diverge at jobs={jobs}");
-                for d in 0..view.num_logic() as u32 {
-                    assert_eq!(serial.label_of(d), par.label_of(d), "label at {d}");
-                    assert_eq!(serial.cut_of(d), par.cut_of(d), "cut at {d}");
+    fn later_path_cancels_earlier_flow() {
+        for (b_first, s2_first) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut nl = Netlist::new();
+            let s1 = nl.input(O);
+            let s2 = nl.input(O);
+            let x: Vec<GateId> = (0..5).map(|_| nl.input(O)).collect();
+            let a = nl.not(s1, O);
+            let b = if s2_first {
+                nl.and(s2, s1, O)
+            } else {
+                nl.and(s1, s2, O)
+            };
+            let w1 = nl.and(x[0], x[1], O);
+            let w2a = nl.and(x[3], x[4], O);
+            let w2 = nl.and(x[2], w2a, O);
+            let w = nl.and(w1, w2, O);
+            let t = if b_first {
+                nl.mux(b, a, w, O)
+            } else {
+                nl.mux(a, b, w, O)
+            };
+            nl.add_keep(t, "out");
+            let view = CombView::build(&nl).unwrap();
+            for (k, label) in [(3usize, 3u32), (4, 2)] {
+                for area_recovery in [false, true] {
+                    let case = format!(
+                        "b_first={b_first} s2_first={s2_first} k={k} area_recovery={area_recovery}"
+                    );
+                    let opts = MapOptions {
+                        k,
+                        area_recovery,
+                        jobs: 1,
+                    };
+                    let reference = map_netlist_reference(&nl, &opts).unwrap();
+                    let (_, root) = reference.luts().find(|(_, l)| l.root() == t).unwrap();
+                    let ref_cut: Vec<GateId> = root
+                        .inputs()
+                        .iter()
+                        .map(|i| match *i {
+                            LutInput::Lut(l) => reference.lut(l).root(),
+                            LutInput::Start(g) => g,
+                        })
+                        .collect();
+                    let lab = compute_labels(&view, k, area_recovery);
+                    assert_eq!(root.level(), label, "{case}");
+                    assert_eq!(label_of_gate(&view, &lab, t), label, "{case}");
+                    assert_eq!(cut_of_gate(&view, &lab, t), &ref_cut[..], "{case}");
+                    let dense = crate::map_netlist(&nl, &opts).unwrap();
+                    assert!(dense.bit_identical(&reference), "{case}");
                 }
             }
         }

@@ -40,7 +40,7 @@ pub use mapper::{map_netlist, map_netlist_with_seed, MapError, MapOptions};
 pub use network::{Lut, LutId, LutInput, LutNetwork};
 pub use reference::map_netlist_reference;
 
-/// Default worker-thread count for parallel labeling and LUT packing:
+/// Default worker-thread count for parallel LUT packing:
 /// `min(cores, 4)`, matching the slack-matching trial pool. Results are
 /// bit-identical at any job count, so this only trades wall clock.
 pub fn default_jobs() -> usize {

@@ -5,9 +5,8 @@
 //! inherently serial and kept so — it fixes the id order every downstream
 //! consumer sees. The per-LUT *packing* work (cone cover + majority
 //! origin), which dominates the phase, is a pure function of the root and
-//! its cut, so it fans out over the same scoped-thread pool as the labeler
-//! and commits in [`LutId`] order: the network is bit-identical at any job
-//! count.
+//! its cut, so it fans out over scoped threads and commits in [`LutId`]
+//! order: the network is bit-identical at any job count.
 
 use crate::flowmap::{compute_labels_seeded, CombView, Labeling, MapSeed, MapStats};
 use crate::network::{Lut, LutId, LutInput, LutNetwork};
@@ -28,7 +27,7 @@ pub struct MapOptions {
     /// Use max-volume min cuts so LUTs swallow as many gates as their
     /// label allows (better area at identical, optimal depth).
     pub area_recovery: bool,
-    /// Worker threads for labeling and LUT packing. Results are
+    /// Worker threads for LUT packing (labeling is serial). Results are
     /// bit-identical at any value; `0` is treated as `1`.
     pub jobs: usize,
 }
@@ -118,8 +117,7 @@ pub fn map_netlist_with_seed(
         return Err(MapError::KTooSmall(opts.k));
     }
     let view = CombView::build(nl).map_err(MapError::CombinationalCycle)?;
-    let (labeling, mut stats) =
-        compute_labels_seeded(&view, opts.k, opts.area_recovery, seed, opts.jobs);
+    let (labeling, mut stats) = compute_labels_seeded(&view, opts.k, opts.area_recovery, seed);
     let net = lut_cover(nl, &view, &labeling, opts.k, opts.jobs)?;
     stats.luts_packed = net.num_luts();
     Ok((net, MapSeed::from_labeling(&view, labeling), stats))

@@ -122,8 +122,8 @@ impl LutNetwork {
 
     /// `true` iff the two networks are equal field for field — every LUT's
     /// root, input order, covered-gate order, origin, and level, plus K.
-    /// This is the equivalence the parallel labeler,
-    /// the seeded mapper, and the reference mapper are all held to.
+    /// This is the equivalence the mapper at every job count, the seeded
+    /// mapper, and the reference mapper are all held to.
     pub fn bit_identical(&self, other: &LutNetwork) -> bool {
         self == other
     }

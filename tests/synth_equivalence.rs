@@ -152,37 +152,76 @@ proptest! {
 
 /// The mapper on real netlists: each full-size kernel's seeded, optimized
 /// netlist (2.2k–12.8k gates) mapped by the dense mapper at jobs 1/2/8 and
-/// by a self-seeded remap must equal the reference labeler's network.
+/// by a self-seeded remap must equal the reference labeler's network, in
+/// both cut modes. Its cones run to hundreds of gates, so the max-flow
+/// tests here cancel flow far more often than on the random netlists.
 #[test]
 fn mapper_matches_reference_on_kernel_netlists() {
-    let opts = |jobs| MapOptions {
-        k: 6,
-        area_recovery: true,
-        jobs,
-    };
     for k in kernels::all_kernels() {
         let mut nl = elaborate(&k.seeded_graph())
             .expect("kernel graphs elaborate")
             .netlist;
         nl.optimize();
-        let reference = map_netlist_reference(&nl, &opts(1)).expect("acyclic");
-        for jobs in [1usize, 2, 8] {
-            let net = map_netlist(&nl, &opts(jobs)).expect("acyclic");
+        for area_recovery in [true, false] {
+            let opts = |jobs| MapOptions {
+                k: 6,
+                area_recovery,
+                jobs,
+            };
+            let reference = map_netlist_reference(&nl, &opts(1)).expect("acyclic");
+            for jobs in [1usize, 2, 8] {
+                let net = map_netlist(&nl, &opts(jobs)).expect("acyclic");
+                assert!(
+                    net.bit_identical(&reference),
+                    "{}: area_recovery={area_recovery} jobs={jobs}: dense mapper diverged from the reference",
+                    k.name
+                );
+            }
+            let (_, seed, _) = map_netlist_with_seed(&nl, &opts(1), None).expect("acyclic");
+            let matching = match_netlists(&nl, &nl);
+            let (seeded, _, _) =
+                map_netlist_with_seed(&nl, &opts(1), Some((&seed, &matching))).expect("acyclic");
             assert!(
-                net.bit_identical(&reference),
-                "{}: jobs={jobs}: dense mapper diverged from the reference",
+                seeded.bit_identical(&reference),
+                "{}: area_recovery={area_recovery}: self-seeded remap diverged from the reference",
                 k.name
             );
         }
-        let (_, seed, _) = map_netlist_with_seed(&nl, &opts(1), None).expect("acyclic");
-        let matching = match_netlists(&nl, &nl);
-        let (seeded, _, _) =
-            map_netlist_with_seed(&nl, &opts(1), Some((&seed, &matching))).expect("acyclic");
-        assert!(
-            seeded.bit_identical(&reference),
-            "{}: self-seeded remap diverged from the reference",
-            k.name
-        );
+    }
+}
+
+/// Every synthesis a flow pays for is counted. On the nine full-size
+/// kernels with default options, each flow's full plus incremental
+/// syntheses equal its synthesis-cache misses, the slack pass's level
+/// probes included.
+#[test]
+fn every_cache_miss_is_a_counted_synthesis() {
+    let handles: Vec<_> = kernels::all_kernels()
+        .into_iter()
+        .map(|k| {
+            std::thread::spawn(move || {
+                let opts = FlowOptions {
+                    jobs: 1,
+                    ..FlowOptions::default()
+                };
+                let cache = SynthCache::new();
+                let prev = optimize_baseline_with_cache(k.graph(), k.back_edges(), &opts, &cache)
+                    .expect("baseline flow");
+                let iter = optimize_iterative_with_cache(k.graph(), k.back_edges(), &opts, &cache)
+                    .expect("iterative flow");
+                for (flow, t) in [("prev", &prev.trace), ("iter", &iter.trace)] {
+                    assert_eq!(
+                        t.full_synths + t.incr_synths,
+                        t.cache_misses,
+                        "{}: {flow}: a synthesis went uncounted",
+                        k.name
+                    );
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("kernel thread");
     }
 }
 
