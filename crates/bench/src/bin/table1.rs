@@ -107,8 +107,8 @@ fn print_counters(rows: &[KernelComparison]) {
         }),
     );
     print_table(
-        "placement MILP counters (lazyR: lazy clock-period cut rounds; cuts, rounds: root cuts):",
-        "Benchmark flow lazyR pivots nodes refactor rowsDrop cuts rounds pruned tighten warmH/M",
+        "placement MILP counters (lazyR: lazy clock-period cut rounds; cuts, rounds: root cuts; trunc: truncated/solves; lpFb: LP-rounding fallbacks):",
+        "Benchmark flow lazyR pivots nodes refactor rowsDrop cuts rounds pruned tighten warmH/M trunc lpFb",
         lines(rows, |c| {
             flows(c, |t| {
                 let mut cells = counts([
@@ -123,6 +123,8 @@ fn print_counters(rows: &[KernelComparison]) {
                     t.milp_bounds_tightened,
                 ]);
                 cells.push(format!("{}/{}", t.milp_warm_hits, t.milp_warm_misses));
+                cells.push(format!("{}/{}", t.milp_truncated, t.milp_solves));
+                cells.push(t.milp_lp_fallbacks.to_string());
                 cells
             })
         }),

@@ -110,6 +110,14 @@ pub struct PlacementResult {
     /// the store had no entry yet, or the remapped entry failed the
     /// solver's revalidation. Zero when no store was supplied.
     pub milp_warm_misses: u64,
+    /// MILP solves, one per lazy clock-period round.
+    pub milp_solves: u64,
+    /// Solves that stopped at the work or node limit with an unproven
+    /// incumbent ([`milp::Status::Feasible`]).
+    pub milp_truncated: u64,
+    /// Solves that found no incumbent within the limits and fell back to
+    /// rounding the LP relaxation up.
+    pub milp_lp_fallbacks: u64,
 }
 
 /// Placement failures.
@@ -434,6 +442,8 @@ pub fn place_buffers_warm(
     let mut milp_bounds_tightened = 0u64;
     let mut milp_warm_hits = 0u64;
     let mut milp_warm_misses = 0u64;
+    let mut milp_truncated = 0u64;
+    let mut milp_lp_fallbacks = 0u64;
     // The key depends only on the iteration-stable problem identity, not
     // the per-round model, so it is computed once.
     let key = store.map(|s| (s, warm_key(p)));
@@ -465,8 +475,14 @@ pub fn place_buffers_warm(
             .or_else(|| last_warm.take())
             .map(|w| w.remap_to(&model));
         let sol = match model.solve_warm(warm.as_ref()) {
-            Ok(s) => s,
-            Err(SolveError::NodeLimit) => model.solve_relaxation()?,
+            Ok(s) => {
+                milp_truncated += s.truncated as u64;
+                s
+            }
+            Err(SolveError::NodeLimit) => {
+                milp_lp_fallbacks += 1;
+                model.solve_relaxation()?
+            }
             Err(e) => return Err(e.into()),
         };
         let entry = milp::WarmStart {
@@ -547,6 +563,9 @@ pub fn place_buffers_warm(
                 milp_bounds_tightened,
                 milp_warm_hits,
                 milp_warm_misses,
+                milp_solves: rounds as u64 + 1,
+                milp_truncated,
+                milp_lp_fallbacks,
             });
         }
         cuts.extend(new_cuts);

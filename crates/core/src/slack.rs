@@ -168,9 +168,12 @@ impl TrialSim<'_> {
     }
 }
 
-/// Completion cycles (`None` on run failure), the non-zero per-channel
-/// stall counts ranked for candidate selection, and the cycles executed.
-type ProfileResult = (Option<u64>, Vec<(ChannelId, u64)>, u64);
+/// Non-zero per-channel stall counts, ranked for candidate selection.
+type Stalls = Vec<(ChannelId, u64)>;
+
+/// Completion cycles (`None` on run failure), the run's [`Stalls`], and
+/// the cycles executed.
+type ProfileResult = (Option<u64>, Stalls, u64);
 
 /// Runs one simulation; returns completion cycles (`None` on run failure),
 /// the per-channel stall counts, and the cycles actually executed.
@@ -190,21 +193,30 @@ fn profile(
     budget: u64,
 ) -> Result<ProfileResult, SimError> {
     run_with(factory, bufs, budget, |res, s| {
-        let mut stalls: Vec<(ChannelId, u64)> = base
-            .channels()
-            .map(|(c, _)| (c, s.stalls(c)))
-            .filter(|(_, n)| *n > 0)
-            .collect();
-        stalls.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c));
-        (res.ok(), stalls, s.cycle())
+        (res.ok(), ranked_stalls(base, s), s.cycle())
     })
 }
 
+/// The [`Stalls`] of a finished run, ranked as [`profile`] documents.
+fn ranked_stalls(base: &Graph, s: &TrialSim<'_>) -> Stalls {
+    let mut stalls: Stalls = base
+        .channels()
+        .map(|(c, _)| (c, s.stalls(c)))
+        .filter(|(_, n)| *n > 0)
+        .collect();
+    stalls.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c));
+    stalls
+}
+
 /// Outcome of one trial simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum TrialOutcome {
-    /// Completed below the cap: a real cycle count to compare.
-    Completed(u64),
+    /// Completed below the cap: a real cycle count to compare, and the
+    /// run's ranked stall profile. A run that completes below the cap
+    /// completes the same way under any larger budget, so this is the
+    /// profile of the trial's buffer set: accepted, it seeds the next
+    /// round's candidates without simulating the set again.
+    Completed(u64, Stalls),
     /// Hit the cycle cap. Distinct from [`TrialOutcome::Failed`]: the
     /// trial spent its full budget without finishing — under the incumbent
     /// bound this means "pruned, cannot beat the best", not "broken".
@@ -216,12 +228,16 @@ enum TrialOutcome {
 /// Simulates `base` + `bufs` for at most `cap` cycles; returns the outcome
 /// and the cycles actually executed (the budget spent).
 fn run_trial(
+    base: &Graph,
     factory: &SimFactory<'_>,
     bufs: &[ChannelId],
     cap: u64,
 ) -> Result<(TrialOutcome, u64), SimError> {
     run_with(factory, bufs, cap, |res, s| match res {
-        Ok(cycles) => (TrialOutcome::Completed(cycles), cycles),
+        Ok(cycles) => (
+            TrialOutcome::Completed(cycles, ranked_stalls(base, s)),
+            cycles,
+        ),
         Err(SimError::Timeout { max_cycles }) => (TrialOutcome::TimedOut, max_cycles),
         Err(_) => (TrialOutcome::Failed, s.cycle()),
     })
@@ -372,17 +388,16 @@ fn slack_match_inner(
 
     let mut current: Vec<ChannelId> = buffers.to_vec();
     let t = Instant::now();
-    let (first, _, spent) = profile(base, &factory, &current, opts.sim_budget)?;
+    let (first, mut stalls, spent) = profile(base, &factory, &current, opts.sim_budget)?;
     sim.tally(t.elapsed(), spent);
     let Some(mut best_cycles) = first else {
         return Ok(current);
     };
 
+    // `stalls` is always the profile of `current`: the pre-loop run, then
+    // the accepted trial's own run. No round simulates `current` again.
     let mut added = 0usize;
     while added < opts.max_added {
-        let t = Instant::now();
-        let (_, stalls, spent) = profile(base, &factory, &current, opts.sim_budget)?;
-        sim.tally(t.elapsed(), spent);
         let top: Vec<ChannelId> = stalls
             .iter()
             .filter(|(c, _)| !current.contains(c))
@@ -411,7 +426,7 @@ fn slack_match_inner(
         let outcomes = parallel_trials(candidates.len(), opts.jobs, |i| {
             let mut trial = current.clone();
             trial.extend(candidates[i].iter().copied());
-            run_trial(&factory, &trial, cap)
+            run_trial(base, &factory, &trial, cap)
         })?;
         sim.time += t.elapsed();
         sim.runs += outcomes.len() as u64;
@@ -421,12 +436,12 @@ fn slack_match_inner(
         // results at any job count. Construction errors (impossible for a
         // graph that profiled above, but structured all the same) surface
         // in the same deterministic order.
-        let mut accepted: Option<(Vec<ChannelId>, u64)> = None;
+        let mut accepted: Option<(Vec<ChannelId>, u64, Stalls)> = None;
         for (cand, outcome) in candidates.into_iter().zip(outcomes) {
             let (outcome, spent) = outcome?;
             sim.cycles += spent;
-            let cycles = match outcome {
-                TrialOutcome::Completed(c) => c,
+            let (cycles, trial_stalls) = match outcome {
+                TrialOutcome::Completed(c, st) => (c, st),
                 TrialOutcome::TimedOut => {
                     trace.slack_trials_pruned += 1;
                     continue;
@@ -435,7 +450,7 @@ fn slack_match_inner(
             };
             let better = accepted
                 .as_ref()
-                .map(|(_, c)| cycles < *c)
+                .map(|(_, c, _)| cycles < *c)
                 .unwrap_or(cycles < best_cycles);
             if better {
                 let mut trial = current.clone();
@@ -455,15 +470,16 @@ fn slack_match_inner(
                     Err(_) => continue,
                 };
                 if levels <= opts.target_levels {
-                    accepted = Some((cand, cycles));
+                    accepted = Some((cand, cycles, trial_stalls));
                 }
             }
         }
         match accepted {
-            Some((cand, cycles)) => {
+            Some((cand, cycles, trial_stalls)) => {
                 added += cand.len();
                 current.extend(cand);
                 best_cycles = cycles;
+                stalls = trial_stalls;
             }
             None => break,
         }
@@ -559,7 +575,11 @@ mod tests {
         let matched =
             slack_match_traced(k.graph(), &seed, &opts, &SynthCache::new(), &mut trace).unwrap();
         assert_eq!(matched, slack_match(k.graph(), &seed, &opts).unwrap());
-        assert!(trace.sim_runs > 0, "profiles and trials must be counted");
+        assert_eq!(
+            trace.sim_runs,
+            1 + trace.slack_trials,
+            "one profile, then trials only: an accepted trial's run is the next round's profile"
+        );
         assert!(trace.sim_cycles > 0);
         assert_eq!(
             trace.sim_compiles, 1,

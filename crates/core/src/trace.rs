@@ -62,6 +62,14 @@ pub struct FlowTrace {
     /// Placement-store lookups that did *not* end in an adopted warm start
     /// (empty store, or the remapped entry failed revalidation).
     pub milp_warm_misses: u64,
+    /// Placement MILP solves (one per lazy clock-period round).
+    pub milp_solves: u64,
+    /// Placement solves that returned an unproven incumbent at the work or
+    /// node limit.
+    pub milp_truncated: u64,
+    /// Placement solves that found no incumbent and fell back to rounding
+    /// the LP relaxation.
+    pub milp_lp_fallbacks: u64,
     /// Figure-4 iterations executed.
     pub iterations: usize,
     /// Portion of `synth` spent in full (basis-less) synthesis runs.
@@ -168,6 +176,9 @@ impl FlowTrace {
         self.milp_bounds_tightened += p.milp_bounds_tightened;
         self.milp_warm_hits += p.milp_warm_hits;
         self.milp_warm_misses += p.milp_warm_misses;
+        self.milp_solves += p.milp_solves;
+        self.milp_truncated += p.milp_truncated;
+        self.milp_lp_fallbacks += p.milp_lp_fallbacks;
     }
 
     /// Merges the work counters of one synthesis request into the
@@ -217,6 +228,9 @@ impl FlowTrace {
         self.milp_bounds_tightened += other.milp_bounds_tightened;
         self.milp_warm_hits += other.milp_warm_hits;
         self.milp_warm_misses += other.milp_warm_misses;
+        self.milp_solves += other.milp_solves;
+        self.milp_truncated += other.milp_truncated;
+        self.milp_lp_fallbacks += other.milp_lp_fallbacks;
         self.iterations += other.iterations;
         self.synth_full += other.synth_full;
         self.synth_incremental += other.synth_incremental;
@@ -282,6 +296,9 @@ mod tests {
             milp_bounds_tightened: 13,
             milp_warm_hits: 3,
             milp_warm_misses: 2,
+            milp_solves: 7,
+            milp_truncated: 3,
+            milp_lp_fallbacks: 1,
             iterations: 4,
             synth: Duration::from_millis(5),
             synth_incremental: Duration::from_millis(2),
@@ -314,6 +331,9 @@ mod tests {
         assert_eq!(a.milp_bounds_tightened, 13);
         assert_eq!(a.milp_warm_hits, 3);
         assert_eq!(a.milp_warm_misses, 2);
+        assert_eq!(a.milp_solves, 7);
+        assert_eq!(a.milp_truncated, 3);
+        assert_eq!(a.milp_lp_fallbacks, 1);
         assert_eq!(a.iterations, 5);
         assert_eq!(a.synth, Duration::from_millis(15));
         assert_eq!(a.synth_incremental, Duration::from_millis(2));
@@ -364,6 +384,9 @@ mod tests {
             milp_bounds_tightened: 9,
             milp_warm_hits: 10,
             milp_warm_misses: 11,
+            milp_solves: 12,
+            milp_truncated: 13,
+            milp_lp_fallbacks: 14,
         };
         let mut t = FlowTrace::default();
         t.record_placement(&p);
@@ -380,8 +403,11 @@ mod tests {
             t.milp_bounds_tightened,
             t.milp_warm_hits,
             t.milp_warm_misses,
+            t.milp_solves,
+            t.milp_truncated,
+            t.milp_lp_fallbacks,
         ];
-        assert_eq!(got, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22]);
+        assert_eq!(got, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28]);
     }
 
     #[test]

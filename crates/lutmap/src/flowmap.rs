@@ -316,14 +316,16 @@ impl<'a> DenseSeed<'a> {
 
 /// Computes FlowMap labels and cuts for every logic gate.
 ///
-/// With `max_volume` set, the K-feasible cut realizing each label is the
-/// *max-volume* min cut (sink side of the flow network) instead of the
-/// source-side cut: the mapped LUTs then swallow as many gates as the
-/// label allows, which recovers area at identical (optimal) depth — the
-/// same refinement classic FlowMap implementations apply.
+/// With `sink_side` set, the K-feasible cut realizing each label is the
+/// sink-side min cut: the gates whose out-side can still reach the sink in
+/// the residual graph and whose in-side cannot. It is the min cut nearest
+/// the root, so its LUT covers the fewest gates. Otherwise it is the
+/// source-side min cut, read off the nodes the source reaches: the
+/// max-volume cut, whose LUT swallows as many gates as the label allows.
+/// Both realize the same, optimal label.
 #[cfg(test)]
-pub(crate) fn compute_labels(view: &CombView, k: usize, max_volume: bool) -> Labeling {
-    compute_labels_seeded(view, k, max_volume, None).0
+pub(crate) fn compute_labels(view: &CombView, k: usize, sink_side: bool) -> Labeling {
+    compute_labels_seeded(view, k, sink_side, None).0
 }
 
 /// [`compute_labels`] with optional reuse of a previous run's results.
@@ -340,13 +342,13 @@ pub(crate) fn compute_labels(view: &CombView, k: usize, max_volume: bool) -> Lab
 pub(crate) fn compute_labels_seeded(
     view: &CombView,
     k: usize,
-    max_volume: bool,
+    sink_side: bool,
     seed: Option<(&MapSeed, &NetlistMatching)>,
 ) -> (Labeling, MapStats) {
     let mut labeling = Labeling::with_capacity(view.num_logic());
     let mut stats = MapStats::default();
     let dense_seed = seed.map(|(s, m)| DenseSeed::build(s, m, view.num_gates()));
-    let fanouts = (!max_volume).then(|| Fanouts::build(view));
+    let fanouts = (!sink_side).then(|| Fanouts::build(view));
     let mut scratch = LabelScratch::new(view.num_gates());
     // Topological order: every fanin cone is labeled before its root.
     for d in 0..view.num_logic() as u32 {

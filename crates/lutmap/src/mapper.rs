@@ -24,8 +24,12 @@ pub struct MapOptions {
     /// LUT input count; the paper uses `if -K 6` (K = 6). Must be ≥ 3
     /// (the widest primitive gate is a 3-input mux).
     pub k: usize,
-    /// Use max-volume min cuts so LUTs swallow as many gates as their
-    /// label allows (better area at identical, optimal depth).
+    /// Which min cut realizes each label, at identical (optimal) depth.
+    /// `true` takes the sink-side min cut, the one nearest the root: the
+    /// smallest cone a LUT of that label can cover. `false` takes the
+    /// source-side min cut, the max-volume one: the LUT swallows as many
+    /// gates as its label allows. Despite the field's name, `true` (the
+    /// default, behind every Table I LUT count) is not the max-volume cut.
     pub area_recovery: bool,
     /// Worker threads for LUT packing (labeling is serial). Results are
     /// bit-identical at any value; `0` is treated as `1`.
@@ -426,8 +430,9 @@ mod tests {
 
     #[test]
     fn area_recovery_reduces_lut_count() {
-        // The 8-input AND tree: max-volume cuts must never do worse than
-        // the source-side cuts, at identical (optimal) depth.
+        // The 8-input AND tree: the sink-side cuts (`area_recovery: true`)
+        // must do no worse here than the source-side, max-volume cuts, at
+        // identical (optimal) depth.
         let mk = |area| {
             let mut nl = Netlist::new();
             let inputs: Vec<GateId> = (0..8).map(|_| nl.input(O)).collect();

@@ -2,10 +2,12 @@
 //! label/cut storage, per-gate flow-network allocation, strictly serial
 //! topological labeling.
 //!
-//! It is the *bit-identity oracle*: the dense, level-parallel labeler in
-//! [`crate::flowmap`] must reproduce this implementation's labels and
-//! chosen cuts exactly (the repo keeps the same discipline for the
-//! simulator's `FullSweep` engine and the MILP's dense tableau). `tests/synth_equivalence.rs` holds the mapper to it on
+//! It is the *bit-identity oracle*: the dense labeler in
+//! [`crate::flowmap`], which searches its augmenting paths from the sink
+//! over an implicit flow network, must reproduce this implementation's
+//! labels and chosen cuts exactly, in both cut modes (the repo keeps the
+//! same discipline for the simulator's `FullSweep` engine and the MILP's
+//! dense tableau). `tests/synth_equivalence.rs` holds the mapper to it on
 //! random netlists and on the nine kernels' full-size netlists.
 
 use crate::flowmap::{CombView, Labeling};
@@ -35,7 +37,7 @@ pub fn map_netlist_reference(nl: &Netlist, opts: &MapOptions) -> Result<LutNetwo
 fn compute_labels_hashmap(
     view: &CombView,
     k: usize,
-    max_volume: bool,
+    sink_side: bool,
 ) -> (HashMap<GateId, u32>, HashMap<GateId, Vec<GateId>>) {
     let mut label: HashMap<GateId, u32> = HashMap::default();
     let mut cut: HashMap<GateId, Vec<GateId>> = HashMap::default();
@@ -53,7 +55,7 @@ fn compute_labels_hashmap(
             cut.insert(t, fanins.to_vec());
             continue;
         }
-        match min_cut_with_collapsed(view, &label, t, p, k, max_volume, &mut cone_buf) {
+        match min_cut_with_collapsed(view, &label, t, p, k, sink_side, &mut cone_buf) {
             Some(c) => {
                 label.insert(t, p);
                 cut.insert(t, c);
@@ -81,7 +83,7 @@ fn min_cut_with_collapsed(
     t: GateId,
     p: u32,
     k: usize,
-    max_volume: bool,
+    sink_side: bool,
     buf: &mut ConeBuffers,
 ) -> Option<Vec<GateId>> {
     buf.cone.clear();
@@ -146,7 +148,7 @@ fn min_cut_with_collapsed(
     }
 
     let mut out = Vec::new();
-    if max_volume {
+    if sink_side {
         let reach = net.residual_reaching(1);
         for (i, &u) in locals.iter().enumerate() {
             let (uin, uout) = (2 + 2 * i, 2 + 2 * i + 1);
@@ -273,8 +275,8 @@ mod tests {
 
     const O: Origin = Origin::External;
 
-    /// The dense, level-parallel mapper must reproduce the reference
-    /// mapper's LUT network exactly on a reconvergent mixed netlist.
+    /// The dense mapper must reproduce the reference mapper's LUT network
+    /// exactly on a reconvergent mixed netlist.
     #[test]
     fn dense_mapper_matches_reference() {
         let mut nl = Netlist::new();

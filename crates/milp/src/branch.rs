@@ -42,9 +42,11 @@
 
 use crate::model::{Cmp, Engine, Model, Sense, Solution, SolveError, Status};
 use crate::simplex::{
-    solve_lp_warm, solve_lp_warm_gmi, BoundOverrides, LpSolution, WarmBasis, MAX_SIMPLEX_ITERS,
+    solve_lp_in, solve_lp_warm, solve_lp_warm_gmi, BoundOverrides, LpSolution, StdForm, WarmBasis,
+    MAX_SIMPLEX_ITERS,
 };
 use crate::warm::WarmStart;
+use std::cell::OnceCell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -66,13 +68,17 @@ const SEED_TOL: f64 = 1e-6;
 const MIN_LP_BUDGET: u64 = 64;
 
 /// Pivot-equivalent charge added to the work meter for every LP solve, on
-/// top of the pivots the solve actually took. It accounts for the
-/// per-solve fixed cost — standard-form prepare, CSC rebuild, the basis
-/// refactorization that validates an adopted warm basis — which the pivot
-/// count alone cannot see. Without it a dual warm re-solve that finishes
-/// in a handful of pivots looks nearly free to the budget and stagnation
-/// valves, and a finite work limit quietly buys ~50x more nodes of wall
-/// clock than it did when every node paid the cold phase-1/2 price.
+/// top of the pivots the solve actually took: a deterministic budget unit
+/// for the per-solve fixed cost the pivot count alone cannot see. When it
+/// was set, that cost was a standard-form prepare and a CSC rebuild per
+/// solve plus the refactorization that validates an adopted warm basis;
+/// node LPs now bind the tree's standard form instead, so the charge
+/// overstates today's setup, but it stays 32: every truncated incumbent
+/// (Prev's placement MILPs stop at their work limit) depends on it.
+/// Without it a dual warm re-solve that finishes in a handful of pivots
+/// looks nearly free to the budget and stagnation valves, and a finite
+/// work limit quietly buys ~50x more nodes than it did when every node
+/// paid the cold phase-1/2 price.
 const LP_SOLVE_OVERHEAD: u64 = 32;
 
 /// Per-LP iteration budget: the work limit's unspent remainder (the whole
@@ -136,19 +142,28 @@ impl Ord for Entry {
     }
 }
 
-fn solve_node(model: &Model, node: &Node, budget: u64) -> Result<LpSolution, SolveError> {
-    match model.engine {
-        Engine::SparseRevised => solve_lp_warm(model, &node.ov, budget, node.warm.as_ref()),
-        Engine::DenseTableau => crate::dense::solve_lp_dense(model, &node.ov),
+/// Solves one node LP: in the tree's standard form `form` on the sparse
+/// engine, through the dense oracle when `form` is `None`.
+fn solve_node(
+    model: &Model,
+    form: Option<&StdForm>,
+    node: &Node,
+    budget: u64,
+) -> Result<LpSolution, SolveError> {
+    match form {
+        Some(form) => solve_lp_in(form, model, &node.ov, budget, node.warm.as_ref()),
+        None => crate::dense::solve_lp_dense(model, &node.ov),
     }
 }
 
-/// Solves one wave of node LPs, in `wave` order, on up to `jobs` threads.
-/// Every node in the wave gets the same `budget` — computed once from the
-/// sequential fold state before the wave launches, so the results stay a
-/// pure function of the queue order, never of the thread count.
+/// Solves one wave of node LPs, in `wave` order, on up to `jobs` threads
+/// that share the tree's `form` read-only. Every node in the wave gets the
+/// same `budget` — computed once from the sequential fold state before the
+/// wave launches, so the results stay a pure function of the queue order,
+/// never of the thread count.
 fn solve_wave(
     model: &Model,
+    form: Option<&StdForm>,
     wave: &[Entry],
     jobs: usize,
     budget: u64,
@@ -157,7 +172,7 @@ fn solve_wave(
     if jobs <= 1 || wave.len() <= 1 {
         return wave
             .iter()
-            .map(|e| solve_node(model, &e.node, budget))
+            .map(|e| solve_node(model, form, &e.node, budget))
             .collect();
     }
     let slots: Vec<Mutex<Option<Result<LpSolution, SolveError>>>> =
@@ -170,7 +185,7 @@ fn solve_wave(
                 if i >= wave.len() {
                     break;
                 }
-                let r = solve_node(model, &wave[i].node, budget);
+                let r = solve_node(model, form, &wave[i].node, budget);
                 *slots[i].lock().expect("wave slot poisoned") = Some(r);
             });
         }
@@ -672,6 +687,18 @@ pub(crate) fn branch_and_bound(
         }
     }
 
+    // The tree's standard form, built at its first node or dive LP: most
+    // placement trees close at the root and never need one.
+    let tree_form = OnceCell::new();
+    let form = || {
+        (model.engine == Engine::SparseRevised).then(|| {
+            tree_form.get_or_init(|| {
+                let hi: Vec<f64> = work_model.vars.iter().map(|v| v.hi).collect();
+                StdForm::new(&work_model, &hi)
+            })
+        })
+    };
+
     // Best-first exploration opens nodes by bound, so on models with a
     // weak relaxation it can exhaust a tight work budget before reaching
     // any integer leaf. Guard against that by seeding the incumbent from
@@ -707,7 +734,7 @@ pub(crate) fn branch_and_bound(
         };
         let budget = lp_budget(model.work_limit, search.work);
         if budget >= MIN_LP_BUDGET {
-            if let Ok(lp) = solve_node(&work_model, &dive, budget) {
+            if let Ok(lp) = solve_node(&work_model, form(), &dive, budget) {
                 search.work += lp.pivots + LP_SOLVE_OVERHEAD;
                 search.pivots += lp.pivots;
                 search.dual_pivots += lp.dual_pivots;
@@ -794,7 +821,7 @@ pub(crate) fn branch_and_bound(
             search.hit_limit = true;
             break;
         }
-        let results = solve_wave(&work_model, &wave, model.jobs, wave_budget);
+        let results = solve_wave(&work_model, form(), &wave, model.jobs, wave_budget);
 
         // Fold results sequentially, in pop order.
         for (entry, result) in wave.into_iter().zip(results) {

@@ -23,7 +23,11 @@
 //! keeps:
 //!
 //! * the constraint matrix in **CSC** (compressed sparse column) form,
-//!   built once per solve and never modified;
+//!   built once per model as a *standard form* (row layout, merged
+//!   structural columns, slacks, costs) and bound to each solve's bounds:
+//!   right-hand sides, row flips (the stored values copied with the row
+//!   signs) and artificial columns. Branch and bound builds one form per
+//!   tree, at its first node LP, and binds it at every node;
 //! * the basis inverse as a **product-form eta file**: each pivot appends
 //!   one sparse eta vector, and `B⁻¹v` / `vᵀB⁻¹` (FTRAN / BTRAN) apply
 //!   the file in O(total eta nonzeros);
@@ -34,7 +38,9 @@
 //!   backstop — bounding FTRAN/BTRAN cost and floating-point drift on
 //!   exactly the solves that need it instead of on a wall-clock-blind
 //!   fixed schedule. The trigger reads only deterministic counters, so
-//!   the rebuilt points reproduce bit-for-bit.
+//!   the rebuilt points reproduce bit-for-bit. A rebuild orders the basis
+//!   by an order of all columns the bind computes once, and skips the
+//!   FTRAN of a column that touches no row a fresh eta pivots on.
 //!
 //! Per iteration the engine BTRANs the basic costs, prices every nonbasic
 //! column with one sparse dot product (Dantzig: most positive reduced

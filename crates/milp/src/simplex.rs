@@ -10,8 +10,11 @@
 //! measured baseline and equivalence oracle), this engine never
 //! materializes `B⁻¹A`:
 //!
-//! * the constraint matrix is stored once in **compressed sparse column**
-//!   (CSC) form — buffer-placement rows have a handful of nonzeros each;
+//! * the constraint matrix is stored in **compressed sparse column** (CSC)
+//!   form — buffer-placement rows have a handful of nonzeros each. A
+//!   [`StdForm`] holds what no bound changes, built once per model (once
+//!   per branch-and-bound tree); each solve binds it to its own bounds
+//!   ([`StdForm::bind`]) instead of assembling the matrix again;
 //! * the basis inverse is a **product-form eta file**: each pivot appends
 //!   one eta vector, and `B⁻¹x` (FTRAN) / `yᵀB⁻¹` (BTRAN) are applied
 //!   eta-by-eta in `O(eta nonzeros)`;
@@ -122,21 +125,25 @@ pub(crate) struct BoundOverrides {
     pub entries: Vec<(usize, f64, f64)>,
 }
 
-impl BoundOverrides {
-    pub fn bounds_for(&self, model: &Model, var: usize) -> (f64, f64) {
-        let mut lo = model.vars[var].lo;
-        let mut hi = model.vars[var].hi;
-        for &(v, l, h) in &self.entries {
-            if v == var {
-                lo = lo.max(l);
-                hi = hi.min(h);
-            }
-        }
-        (lo, hi)
+/// The variable bounds of `model` under `overrides`, as `(lo, hi)`;
+/// [`SolveError::Infeasible`] when some variable's pair crosses.
+pub(crate) fn bounds(
+    model: &Model,
+    overrides: &BoundOverrides,
+) -> Result<(Vec<f64>, Vec<f64>), SolveError> {
+    let mut lo: Vec<f64> = model.vars.iter().map(|v| v.lo).collect();
+    let mut hi: Vec<f64> = model.vars.iter().map(|v| v.hi).collect();
+    for &(v, l, h) in &overrides.entries {
+        lo[v] = lo[v].max(l);
+        hi[v] = hi[v].min(h);
     }
+    if lo.iter().zip(&hi).any(|(&l, &h)| l > h + EPS) {
+        return Err(SolveError::Infeasible);
+    }
+    Ok((lo, hi))
 }
 
-/// One row of the shifted system (shared by both engines).
+/// One row of the shifted system of the dense engine.
 pub(crate) struct PreparedRow {
     pub coeffs: Vec<(usize, f64)>,
     pub op: Cmp,
@@ -154,28 +161,15 @@ pub(crate) struct Prepared {
     pub sign: f64,
 }
 
-/// Builds the shifted row system both engines solve. Kept in one place so
-/// the dense baseline and the sparse engine agree row-for-row.
+/// Builds the shifted row system the dense engine solves. Its rows are the
+/// rows of the sparse engine's [`StdForm`] bound to the same bounds, so
+/// both engines solve literally the same system.
 pub(crate) fn prepare(model: &Model, overrides: &BoundOverrides) -> Result<Prepared, SolveError> {
     let n = model.vars.len();
-    let mut lo = vec![0.0f64; n];
-    let mut hi = vec![f64::INFINITY; n];
-    for v in 0..n {
-        let (l, h) = overrides.bounds_for(model, v);
-        if l > h + EPS {
-            return Err(SolveError::Infeasible);
-        }
-        lo[v] = l;
-        hi[v] = h;
-    }
+    let (lo, hi) = bounds(model, overrides)?;
 
     // Rows: one row per finite upper bound first, then the model
-    // constraints (rhs adjusted by lower-bound shift). Upper-bound rows
-    // leading means a constraint appended to the model — a root cutting
-    // plane — extends the row system strictly at the end, leaving every
-    // existing structural and slack column index intact; that stability is
-    // what lets the warm-basis adoption below extend a pre-cut basis
-    // instead of cold-starting every cut round.
+    // constraints (rhs adjusted by lower-bound shift); see `StdForm`.
     let mut rows: Vec<PreparedRow> = Vec::with_capacity(model.constraints.len() + n);
     for v in 0..n {
         if hi[v].is_finite() {
@@ -225,12 +219,15 @@ pub(crate) fn prepare(model: &Model, overrides: &BoundOverrides) -> Result<Prepa
 // Compressed sparse column storage
 // ---------------------------------------------------------------------------
 
-/// The augmented constraint matrix `[A | S | I_art]` in CSC form.
+/// The augmented constraint matrix `[A | S | I_art]` of one solve in CSC
+/// form, bound from a [`StdForm`] by [`StdForm::bind`].
 struct Csc {
-    m: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     val: Vec<f64>,
+    /// Every column, ordered by `(col_len, col)`: the elimination order
+    /// of [`Rsm::refactor`].
+    order: Vec<usize>,
 }
 
 impl Csc {
@@ -262,10 +259,277 @@ impl Csc {
             out[i] = v;
         }
     }
+}
 
-    /// Number of stored entries in column `j`.
-    fn col_len(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
+// ---------------------------------------------------------------------------
+// The standard form, built once per model and bound per solve
+// ---------------------------------------------------------------------------
+
+/// The sparse engine's standard form of a model's LP relaxation: the part
+/// of the shifted system `x' = x − lo ≥ 0` that no lower bound and no row
+/// flip changes. Rows are one `≤` row per finite upper bound first, in
+/// variable order, then the model constraints. Upper-bound rows leading
+/// means a constraint appended to the model — a root cutting plane —
+/// extends the row system strictly at the end, leaving every existing
+/// structural and slack column index intact; that stability is what lets
+/// warm-basis adoption extend a pre-cut basis instead of cold-starting
+/// every cut round.
+///
+/// The form holds the structural columns in CSC with repeated terms merged
+/// (in term order, as the dense tableau's `+=` accumulates them), one slack
+/// column per inequality row, and the phase-2 costs. [`StdForm::bind`]
+/// applies one solve's bounds: right-hand sides, row flips and artificial
+/// columns. A flipped row's merged entry is exactly the negation of the
+/// unflipped one (IEEE rounding is symmetric under negation), so binding
+/// copies the values with the row signs and reproduces the per-solve
+/// assembly bit for bit. Branch and bound builds one form per tree and
+/// binds it at every node; root and cut-round solves build their own.
+pub(crate) struct StdForm {
+    /// The variable of each upper-bound row, ascending.
+    ub_vars: Vec<usize>,
+    ops: Vec<Cmp>,
+    /// Structural then slack columns, unflipped: `n_real + 1` pointers.
+    col_ptr: Vec<usize>,
+    row_idx: Vec<usize>,
+    val: Vec<f64>,
+    slack_col_of_row: Vec<Option<usize>>,
+    n_real: usize,
+    /// Columns `< n_real` by `(col_len, col)`, from a counting pass.
+    by_len: Vec<usize>,
+    /// Leading entries of `by_len` with at most one nonzero; artificial
+    /// columns (one nonzero, indices past `n_real`) order right after.
+    short: usize,
+    /// Phase-2 costs of the structural columns (maximize internally).
+    obj: Vec<f64>,
+    sign: f64,
+}
+
+/// A [`StdForm`] bound to one solve's variable bounds.
+struct Bound {
+    a: Csc,
+    lo: Vec<f64>,
+    /// Shifted right-hand side of each row, before the flip.
+    rhs: Vec<f64>,
+    /// Right-hand side after the flips (`rhs ≥ 0`).
+    b: Vec<f64>,
+    /// Initial basis: each row's slack if it has `+1` there, else the
+    /// row's artificial.
+    basis: Vec<usize>,
+    c2: Vec<f64>,
+    obj_shift: f64,
+}
+
+impl StdForm {
+    /// The form of `model` with one upper-bound row for each finite entry
+    /// of `hi`.
+    pub(crate) fn new(model: &Model, hi: &[f64]) -> StdForm {
+        let n = model.vars.len();
+        let ub_vars: Vec<usize> = (0..n).filter(|&v| hi[v].is_finite()).collect();
+        let n_ub = ub_vars.len();
+        let ops: Vec<Cmp> = ub_vars
+            .iter()
+            .map(|_| Cmp::Le)
+            .chain(model.constraints.iter().map(|c| c.op))
+            .collect();
+        let m = ops.len();
+        let mut slack_col_of_row = vec![None; m];
+        let mut n_real = n;
+        for (i, &op) in ops.iter().enumerate() {
+            if op != Cmp::Eq {
+                slack_col_of_row[i] = Some(n_real);
+                n_real += 1;
+            }
+        }
+
+        // Structural entries bucketed per column in row order, then term
+        // order within a row, so repeated terms of one row sit adjacent
+        // and merge in term order.
+        let mut start = vec![0usize; n + 1];
+        for &v in &ub_vars {
+            start[v + 1] += 1;
+        }
+        for c in &model.constraints {
+            for &(v, _) in &c.terms {
+                start[v.index() + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut raw = vec![(0usize, 0.0f64); start[n]];
+        let mut put = |v: usize, i: usize, a: f64| {
+            raw[fill[v]] = (i, a);
+            fill[v] += 1;
+        };
+        for (i, &v) in ub_vars.iter().enumerate() {
+            put(v, i, 1.0);
+        }
+        for (k, c) in model.constraints.iter().enumerate() {
+            for &(v, a) in &c.terms {
+                put(v.index(), n_ub + k, a);
+            }
+        }
+        let mut col_ptr = Vec::with_capacity(n_real + 1);
+        let mut row_idx = Vec::with_capacity(raw.len() + n_real - n);
+        let mut val = Vec::with_capacity(raw.len() + n_real - n);
+        col_ptr.push(0usize);
+        for v in 0..n {
+            let col = &raw[start[v]..start[v + 1]];
+            let mut k = 0usize;
+            while k < col.len() {
+                let (i, mut acc) = col[k];
+                let mut j = k + 1;
+                while j < col.len() && col[j].0 == i {
+                    acc += col[j].1;
+                    j += 1;
+                }
+                if acc != 0.0 {
+                    row_idx.push(i);
+                    val.push(acc);
+                }
+                k = j;
+            }
+            col_ptr.push(row_idx.len());
+        }
+        for (i, &op) in ops.iter().enumerate() {
+            let coef = match op {
+                Cmp::Le => 1.0,
+                Cmp::Ge => -1.0,
+                Cmp::Eq => continue,
+            };
+            row_idx.push(i);
+            val.push(coef);
+            col_ptr.push(row_idx.len());
+        }
+
+        // Counting sort by column length; ascending column index within a
+        // length, because columns are placed in index order.
+        let len = |j: usize| col_ptr[j + 1] - col_ptr[j];
+        let max_len = (0..n_real).map(len).max().unwrap_or(0);
+        let mut slot = vec![0usize; max_len + 2];
+        for j in 0..n_real {
+            slot[len(j) + 1] += 1;
+        }
+        for l in 0..=max_len {
+            slot[l + 1] += slot[l];
+        }
+        let short = (0..n_real).filter(|&j| len(j) <= 1).count();
+        let mut by_len = vec![0usize; n_real];
+        for j in 0..n_real {
+            by_len[slot[len(j)]] = j;
+            slot[len(j)] += 1;
+        }
+
+        let sign = match model.sense {
+            Sense::Maximize => 1.0,
+            Sense::Minimize => -1.0,
+        };
+        StdForm {
+            ub_vars,
+            ops,
+            col_ptr,
+            row_idx,
+            val,
+            slack_col_of_row,
+            n_real,
+            by_len,
+            short,
+            obj: model.vars.iter().map(|v| sign * v.obj).collect(),
+            sign,
+        }
+    }
+
+    /// The upper-bound rows of the form are exactly the finite entries of
+    /// `hi`. Branching can give a variable an upper bound it lacked, which
+    /// adds a row; such a node needs a form of its own.
+    fn fits(&self, hi: &[f64]) -> bool {
+        let mut ub = self.ub_vars.iter();
+        hi.iter()
+            .enumerate()
+            .filter(|(_, h)| h.is_finite())
+            .all(|(v, _)| ub.next() == Some(&v))
+            && ub.next().is_none()
+    }
+
+    /// Binds the form of `model` to the bounds `lo`/`hi` (which it must
+    /// [fit](Self::fits)): shifted right-hand sides, row flips (`rhs ≥ 0`),
+    /// the initial basis with its artificial columns, and the solve's
+    /// matrix and costs.
+    fn bind(&self, model: &Model, lo: Vec<f64>, hi: &[f64]) -> Bound {
+        let n = lo.len();
+        let n_real = self.n_real;
+        let mut rhs: Vec<f64> = self.ub_vars.iter().map(|&v| hi[v] - lo[v]).collect();
+        rhs.extend(model.constraints.iter().map(|c| {
+            let mut shift = 0.0;
+            for &(v, a) in &c.terms {
+                shift += a * lo[v.index()];
+            }
+            c.rhs - shift
+        }));
+        let m = rhs.len();
+        debug_assert_eq!(m, self.ops.len());
+        let b: Vec<f64> = rhs.iter().map(|&r| if r < 0.0 { -r } else { r }).collect();
+
+        let mut basis = Vec::with_capacity(m);
+        let mut art_rows = Vec::new();
+        for (i, (&op, &r)) in self.ops.iter().zip(&rhs).enumerate() {
+            let flip = r < 0.0;
+            let plus_slack = match op {
+                Cmp::Le => !flip,
+                Cmp::Ge => flip,
+                Cmp::Eq => false,
+            };
+            if plus_slack {
+                basis.push(self.slack_col_of_row[i].expect("non-Eq row has a slack"));
+            } else {
+                basis.push(n_real + art_rows.len());
+                art_rows.push(i);
+            }
+        }
+
+        let ncols = n_real + art_rows.len();
+        let mut col_ptr = Vec::with_capacity(ncols + 1);
+        col_ptr.extend_from_slice(&self.col_ptr);
+        let nnz = self.row_idx.len();
+        col_ptr.extend((1..=art_rows.len()).map(|k| nnz + k));
+        let mut row_idx = Vec::with_capacity(nnz + art_rows.len());
+        row_idx.extend_from_slice(&self.row_idx);
+        row_idx.extend_from_slice(&art_rows);
+        let mut val = Vec::with_capacity(nnz + art_rows.len());
+        val.extend(
+            self.val
+                .iter()
+                .zip(&self.row_idx)
+                .map(|(&a, &i)| if rhs[i] < 0.0 { -a } else { a }),
+        );
+        val.resize(nnz + art_rows.len(), 1.0);
+        let mut order = Vec::with_capacity(ncols);
+        order.extend_from_slice(&self.by_len[..self.short]);
+        order.extend(n_real..ncols);
+        order.extend_from_slice(&self.by_len[self.short..]);
+
+        // Phase-2 costs: artificial columns are simply excluded from
+        // pricing (the dense engine equivalently pins them with a −1e18
+        // cost); any artificial still basic from a redundant row stays at
+        // zero.
+        let mut c2 = vec![0.0f64; ncols];
+        c2[..n].copy_from_slice(&self.obj);
+        let obj_shift: f64 = self.obj.iter().zip(&lo).map(|(&c, &l)| c * l).sum();
+        Bound {
+            a: Csc {
+                col_ptr,
+                row_idx,
+                val,
+                order,
+            },
+            lo,
+            rhs,
+            b,
+            basis,
+            c2,
+            obj_shift,
+        }
     }
 }
 
@@ -486,30 +750,45 @@ impl<'a> Rsm<'a> {
         fresh.pivot.reserve(m);
         fresh.ptr.reserve(m);
         let mut pivoted = vec![false; m];
+        // Rows a stored fresh eta pivots on. An eta changes a vector only
+        // when the vector is nonzero on its pivot row, so a column that
+        // touches none of these rows leaves the fresh file's FTRAN as it
+        // went in, and the FTRAN is skipped.
+        let mut eta_row = vec![false; m];
         let mut new_basis = vec![usize::MAX; m];
         let mut w = vec![0.0f64; m];
         // Eliminate sparse columns first (slacks and artificials are unit
         // columns and cause zero fill-in); ties break on the column index,
         // keeping the order — and hence the eta file — deterministic. This
         // static Markowitz-style ordering keeps the factor etas near the
-        // sparsity of A instead of densifying the whole file.
-        let mut order: Vec<usize> = self.basis.clone();
-        order.sort_by_key(|&col| (self.a.col_len(col), col));
+        // sparsity of A instead of densifying the whole file. The bind
+        // orders every column once (`Csc::order`); the basis is its
+        // subsequence.
+        let mut placed = 0usize;
         // Track which scratch entries each column touches so the reset,
         // pivot search, and eta construction all cost O(fill), not O(m):
         // with mostly-singleton basis columns the whole rebuild stays near
         // the sparsity of A.
         let mut touched: Vec<usize> = Vec::with_capacity(64);
-        for col in order {
+        for &col in &self.a.order {
+            if !self.in_basis[col] {
+                continue;
+            }
+            placed += 1;
+            // A column's rows ascend, so `touched` starts sorted.
+            let mut hits_eta = false;
             for (i, v) in self.a.col(col) {
                 if w[i] == 0.0 {
                     touched.push(i);
                 }
                 w[i] = v;
+                hits_eta |= eta_row[i];
             }
-            fresh.ftran_tracking(&mut w, &mut touched);
-            touched.sort_unstable();
-            touched.dedup();
+            if hits_eta {
+                fresh.ftran_tracking(&mut w, &mut touched);
+                touched.sort_unstable();
+                touched.dedup();
+            }
             // Unpivoted row with the largest magnitude (lowest index tie).
             let mut best: Option<usize> = None;
             let mut best_abs = EPS;
@@ -527,6 +806,7 @@ impl<'a> Rsm<'a> {
             };
             pivoted[r] = true;
             new_basis[r] = col;
+            let stored = fresh.len();
             fresh.push(
                 r,
                 w[r],
@@ -535,10 +815,16 @@ impl<'a> Rsm<'a> {
                     .filter(|&&i| i != r && w[i].abs() > ETA_DROP_TOL)
                     .map(|&i| (i, w[i])),
             );
+            eta_row[r] = fresh.len() > stored;
             for &i in &touched {
                 w[i] = 0.0;
             }
             touched.clear();
+        }
+        // A basis listing one column twice is singular: the second copy
+        // would FTRAN to the first copy's pivot row alone.
+        if placed < m {
+            return false;
         }
         self.basis = new_basis;
         self.update_pivots = 0;
@@ -869,6 +1155,7 @@ pub(crate) fn solve_lp_warm(
 /// not truncated). Returned cuts are in the model's original variable
 /// space, are valid for every integer-feasible point, and are violated by
 /// the LP point just returned by more than the separation tolerance.
+/// Builds a fresh [`StdForm`] of `model`.
 pub(crate) fn solve_lp_warm_gmi(
     model: &Model,
     overrides: &BoundOverrides,
@@ -876,101 +1163,58 @@ pub(crate) fn solve_lp_warm_gmi(
     warm: Option<&WarmBasis>,
     want_cuts: bool,
 ) -> Result<(LpSolution, Vec<crate::model::Constraint>), SolveError> {
-    let prep = prepare(model, overrides)?;
-    let n = prep.n;
-    let m = prep.rows.len();
+    let (lo, hi) = bounds(model, overrides)?;
+    let form = StdForm::new(model, &hi);
+    solve_bound(&form, model, lo, &hi, max_iters, warm, want_cuts)
+}
 
-    // Row flips (rhs ≥ 0 normalization) and slack column layout.
-    let mut b = vec![0.0f64; m];
-    let mut flip = vec![false; m];
-    let mut slack_col_of_row: Vec<Option<usize>> = vec![None; m];
-    let mut num_slack = 0usize;
-    for (i, r) in prep.rows.iter().enumerate() {
-        flip[i] = r.rhs < 0.0;
-        let s = if flip[i] { -1.0 } else { 1.0 };
-        b[i] = s * r.rhs;
-        if r.op != Cmp::Eq {
-            slack_col_of_row[i] = Some(n + num_slack);
-            num_slack += 1;
-        }
-    }
-    let n_real = n + num_slack;
-
-    // Initial basis: slack column if it has +1 in the row, else artificial.
-    let mut basis: Vec<usize> = vec![usize::MAX; m];
-    let mut art_of_row: Vec<Option<usize>> = vec![None; m];
-    let mut n_art = 0usize;
-    for (i, r) in prep.rows.iter().enumerate() {
-        let s = if flip[i] { -1.0 } else { 1.0 };
-        let slack_sign = match r.op {
-            Cmp::Le => s,
-            Cmp::Ge => -s,
-            Cmp::Eq => 0.0,
-        };
-        if slack_sign > 0.5 {
-            basis[i] = slack_col_of_row[i].expect("non-Eq row has a slack");
-        } else {
-            art_of_row[i] = Some(n_real + n_art);
-            basis[i] = n_real + n_art;
-            n_art += 1;
-        }
-    }
-
-    // CSC assembly: structural columns (duplicate terms merged, exactly as
-    // the dense tableau's `+=` accumulation), slack columns, artificials.
-    let ncols = n_real + n_art;
-    let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
-    for (i, r) in prep.rows.iter().enumerate() {
-        let s = if flip[i] { -1.0 } else { 1.0 };
-        for &(v, coef) in &r.coeffs {
-            cols[v].push((i, s * coef));
-        }
-        match r.op {
-            Cmp::Le => cols[slack_col_of_row[i].expect("slack")].push((i, s)),
-            Cmp::Ge => cols[slack_col_of_row[i].expect("slack")].push((i, -s)),
-            Cmp::Eq => {}
-        }
-        if let Some(a) = art_of_row[i] {
-            cols[a].push((i, 1.0));
-        }
-    }
-    let mut col_ptr = Vec::with_capacity(ncols + 1);
-    let mut row_idx = Vec::new();
-    let mut val = Vec::new();
-    col_ptr.push(0usize);
-    for col in &mut cols {
-        // Merge duplicate (row, coef) entries from repeated terms.
-        col.sort_by_key(|&(i, _)| i);
-        let mut k = 0usize;
-        while k < col.len() {
-            let (i, mut acc) = col[k];
-            let mut j = k + 1;
-            while j < col.len() && col[j].0 == i {
-                acc += col[j].1;
-                j += 1;
-            }
-            if acc != 0.0 {
-                row_idx.push(i);
-                val.push(acc);
-            }
-            k = j;
-        }
-        col_ptr.push(row_idx.len());
-    }
-    let a = Csc {
-        m,
-        col_ptr,
-        row_idx,
-        val,
+/// [`solve_lp_warm`] in `form`, a form of `model` built by
+/// [`StdForm::new`] (one per branch-and-bound tree). A node whose overrides
+/// give a variable an upper bound the form has no row for builds a fresh
+/// form of its own. Either way the solve is bit-identical to
+/// [`solve_lp_warm`].
+pub(crate) fn solve_lp_in(
+    form: &StdForm,
+    model: &Model,
+    overrides: &BoundOverrides,
+    max_iters: u64,
+    warm: Option<&WarmBasis>,
+) -> Result<LpSolution, SolveError> {
+    let (lo, hi) = bounds(model, overrides)?;
+    let fresh;
+    let form = if form.fits(&hi) {
+        form
+    } else {
+        fresh = StdForm::new(model, &hi);
+        &fresh
     };
-    debug_assert_eq!(a.m, m);
+    solve_bound(form, model, lo, &hi, max_iters, warm, false).map(|(lp, _)| lp)
+}
 
-    // Phase-2 costs, built up front because warm adoption prices against
-    // them: artificial columns are simply excluded from pricing (the dense
-    // engine equivalently pins them with a −1e18 cost); any artificial
-    // still basic from a redundant row stays at zero.
-    let mut c2 = vec![0.0f64; ncols];
-    c2[..n].copy_from_slice(&prep.obj[..n]);
+/// The two-phase (or warm dual) solve of `form` bound to `lo`/`hi`.
+fn solve_bound(
+    form: &StdForm,
+    model: &Model,
+    lo: Vec<f64>,
+    hi: &[f64],
+    max_iters: u64,
+    warm: Option<&WarmBasis>,
+    want_cuts: bool,
+) -> Result<(LpSolution, Vec<crate::model::Constraint>), SolveError> {
+    let Bound {
+        a,
+        lo,
+        rhs,
+        b,
+        basis,
+        c2,
+        obj_shift,
+    } = form.bind(model, lo, hi);
+    let n = lo.len();
+    let m = b.len();
+    let n_real = form.n_real;
+    let ncols = a.ncols();
+    let n_art = ncols - n_real;
 
     // Warm start: adopt the supplied basis when it fits inside the new
     // system (`rows`/`cols` no larger, every basic column real in the old
@@ -1013,9 +1257,12 @@ pub(crate) fn solve_lp_warm_gmi(
                 .enumerate()
                 .map(|(i, &c)| if c < wb.cols { c } else { basis[i] })
                 .collect();
-            for i in take..m {
-                cand_basis.push(slack_col_of_row[i].unwrap_or(basis[i]));
-            }
+            cand_basis.extend(
+                form.slack_col_of_row[take..]
+                    .iter()
+                    .zip(&basis[take..])
+                    .map(|(slack, &natural)| slack.unwrap_or(natural)),
+            );
             let mut cand = Rsm::new(&a, b.clone(), n_real, cand_basis);
             if cand.refactor() {
                 cand.refactors = 0; // setup, not a mid-solve refactorization
@@ -1073,9 +1320,7 @@ pub(crate) fn solve_lp_warm_gmi(
             // starting point (far cheaper than cold phase 1 over all rows).
             if n_art > 0 && r.basis.iter().any(|&c| c >= n_real) {
                 let mut c1 = vec![0.0f64; ncols];
-                for art in art_of_row.iter().flatten() {
-                    c1[*art] = -1.0;
-                }
+                c1[n_real..].fill(-1.0);
                 let (z, truncated) = r.optimize(&c1, ncols, max_iters)?;
                 if truncated {
                     return Err(SolveError::NodeLimit);
@@ -1100,9 +1345,7 @@ pub(crate) fn solve_lp_warm_gmi(
             // Phase 1: maximize -(sum of artificials).
             if n_art > 0 {
                 let mut c1 = vec![0.0f64; ncols];
-                for art in art_of_row.iter().flatten() {
-                    c1[*art] = -1.0;
-                }
+                c1[n_real..].fill(-1.0);
                 let (z, truncated) = r.optimize(&c1, ncols, max_iters)?;
                 if truncated {
                     // An unfinished phase 1 cannot certify feasibility;
@@ -1128,13 +1371,13 @@ pub(crate) fn solve_lp_warm_gmi(
             values[col] = rsm.xb[pos];
         }
     }
-    for (v, l) in values.iter_mut().zip(&prep.lo) {
+    for (v, l) in values.iter_mut().zip(&lo) {
         *v += l;
     }
-    let objective = prep.sign * (z + prep.obj_shift);
+    let objective = form.sign * (z + obj_shift);
 
     let cuts = if want_cuts && !truncated {
-        gomory_cuts(model, &prep, &a, &rsm, &slack_col_of_row, &values)
+        gomory_cuts(model, form, &lo, &rhs, &rsm, &values)
     } else {
         Vec::new()
     };
@@ -1185,29 +1428,32 @@ const CUT_DYNAMISM_CAP: f64 = 1e7;
 /// Cuts that are non-finite, too wide in magnitude
 /// ([`CUT_DYNAMISM_CAP`]), or not violated by the current root point by
 /// more than [`CUT_VIOLATION_TOL`] are discarded.
+///
+/// `lo` and `row_rhs` are the solve's lower bounds and shifted, pre-flip
+/// right-hand sides ([`Bound`]).
 fn gomory_cuts(
     model: &Model,
-    prep: &Prepared,
-    a: &Csc,
+    form: &StdForm,
+    lo: &[f64],
+    row_rhs: &[f64],
     rsm: &Rsm<'_>,
-    slack_col_of_row: &[Option<usize>],
     root_values: &[f64],
 ) -> Vec<crate::model::Constraint> {
     use crate::model::{Constraint, VarId};
 
-    let n = prep.n;
+    let n = lo.len();
     let n_real = rsm.n_real;
+    let n_ub = form.ub_vars.len();
     let m = rsm.m();
     // Inverse map: slack column -> its row.
     let mut row_of_slack: Vec<usize> = vec![usize::MAX; n_real];
-    for (i, s) in slack_col_of_row.iter().enumerate() {
+    for (i, s) in form.slack_col_of_row.iter().enumerate() {
         if let Some(c) = s {
             row_of_slack[*c] = i;
         }
     }
     // Does the shift x' = x − lo preserve integrality of variable v?
-    let int_shifted =
-        |v: usize| model.vars[v].integer && (prep.lo[v] - prep.lo[v].round()).abs() <= 1e-9;
+    let int_shifted = |v: usize| model.vars[v].integer && (lo[v] - lo[v].round()).abs() <= 1e-9;
 
     let mut cuts = Vec::new();
     let mut y = vec![0.0f64; m];
@@ -1234,7 +1480,7 @@ fn gomory_cuts(
             if rsm.in_basis[j] {
                 continue;
             }
-            let abar = a.col_dot(j, &y);
+            let abar = rsm.a.col_dot(j, &y);
             if abar.abs() <= 1e-11 {
                 continue;
             }
@@ -1256,22 +1502,28 @@ fn gomory_cuts(
             if j < n {
                 coef[j] += gamma;
             } else {
-                // Slack substitution against the (pre-flip) prepared row:
-                // the flip sign cancels out of the slack's defining
-                // equation, so `≤` gives s = rhs − Σa·x' and `≥` gives
-                // s = Σa·x' − rhs.
-                let row = &prep.rows[row_of_slack[j]];
-                match row.op {
+                // Slack substitution against the pre-flip row: the flip
+                // sign cancels out of the slack's defining equation, so
+                // `≤` gives s = rhs − Σa·x' and `≥` gives s = Σa·x' − rhs.
+                let i = row_of_slack[j];
+                let ub_term;
+                let row_terms: &[(VarId, f64)] = if i < n_ub {
+                    ub_term = [(VarId(form.ub_vars[i]), 1.0)];
+                    &ub_term
+                } else {
+                    &model.constraints[i - n_ub].terms
+                };
+                match form.ops[i] {
                     Cmp::Le => {
-                        rhs_cut -= gamma * row.rhs;
-                        for &(v, av) in &row.coeffs {
-                            coef[v] -= gamma * av;
+                        rhs_cut -= gamma * row_rhs[i];
+                        for &(v, av) in row_terms {
+                            coef[v.index()] -= gamma * av;
                         }
                     }
                     Cmp::Ge => {
-                        rhs_cut += gamma * row.rhs;
-                        for &(v, av) in &row.coeffs {
-                            coef[v] += gamma * av;
+                        rhs_cut += gamma * row_rhs[i];
+                        for &(v, av) in row_terms {
+                            coef[v.index()] += gamma * av;
                         }
                     }
                     Cmp::Eq => unreachable!("Eq rows have no slack"),
@@ -1292,7 +1544,7 @@ fn gomory_cuts(
                 ok = false;
                 break;
             }
-            rhs += c * prep.lo[v];
+            rhs += c * lo[v];
             max_c = max_c.max(c.abs());
             min_c = min_c.min(c.abs());
             terms.push((VarId(v), c));
@@ -1533,6 +1785,145 @@ mod tests {
             "sparse {} vs dense {}",
             lp.objective,
             dense.objective
+        );
+    }
+
+    /// xorshift64: the bind test's deterministic model generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn small(&mut self, lo: i64, hi: i64) -> f64 {
+            (lo + self.below((hi - lo + 1) as u64) as i64) as f64
+        }
+    }
+
+    /// A random model with every shape the bind must handle: `≥` rows,
+    /// whose right-hand side turns negative once branching raises a lower
+    /// bound (the row flips), repeated terms in one row, `=` rows, and an
+    /// integer variable without an upper bound (`x0`). A final row caps the
+    /// sum of all variables, so every relaxation is bounded.
+    fn random_bind_model(rng: &mut Rng) -> Model {
+        let sense = [Sense::Maximize, Sense::Minimize][rng.below(2) as usize];
+        let mut m = Model::new(sense);
+        let n = 3 + rng.below(5) as usize;
+        let vars: Vec<_> = (0..n)
+            .map(|i| {
+                let lo = rng.small(0, 1);
+                let hi = if i == 0 || rng.below(3) == 0 {
+                    f64::INFINITY
+                } else {
+                    lo + rng.small(1, 4)
+                };
+                let integer = i == 0 || rng.below(3) != 0;
+                m.add_var(format!("x{i}"), lo, hi, rng.small(-4, 4), integer)
+            })
+            .collect();
+        for _ in 0..2 + rng.below(5) {
+            let mut terms: Vec<_> = (0..1 + rng.below(4))
+                .map(|_| (vars[rng.below(n as u64) as usize], rng.small(-3, 3)))
+                .collect();
+            if rng.below(3) == 0 {
+                terms.push((terms[0].0, rng.small(-2, 2)));
+            }
+            let op = [Cmp::Le, Cmp::Ge, Cmp::Ge, Cmp::Le, Cmp::Eq][rng.below(5) as usize];
+            m.add_constraint(terms, op, rng.small(-2, 6));
+        }
+        m.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect(), Cmp::Le, 20.0);
+        m
+    }
+
+    #[test]
+    fn tree_form_bind_is_bit_identical_to_a_fresh_form() {
+        let same = |a: &LpSolution, b: &LpSolution| {
+            a.values.len() == b.values.len()
+                && a.values
+                    .iter()
+                    .zip(&b.values)
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+                && a.objective.to_bits() == b.objective.to_bits()
+                && (a.pivots, a.dual_pivots, a.refactors) == (b.pivots, b.dual_pivots, b.refactors)
+                && (a.truncated, a.warmed) == (b.truncated, b.warmed)
+                && a.basis == b.basis
+        };
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut solved, mut flipped, mut fresh_forms, mut repeated, mut eq_rows) = (0, 0, 0, 0, 0);
+        for case in 0..1000 {
+            let model = random_bind_model(&mut rng);
+            repeated += model.constraints.iter().any(|c| {
+                c.terms
+                    .iter()
+                    .enumerate()
+                    .any(|(k, t)| c.terms[..k].iter().any(|u| u.0 == t.0))
+            }) as usize;
+            eq_rows += model.constraints.iter().any(|c| c.op == Cmp::Eq) as usize;
+            let hi: Vec<f64> = model.vars.iter().map(|v| v.hi).collect();
+            let tree = StdForm::new(&model, &hi);
+            let mut ov = BoundOverrides::default();
+            let mut warm: Option<WarmBasis> = None;
+            for depth in 0..6 {
+                // Branch on a random integer variable, down or up.
+                let v = loop {
+                    let v = rng.below(model.vars.len() as u64) as usize;
+                    if model.vars[v].integer {
+                        break v;
+                    }
+                };
+                let t = rng.small(0, 3);
+                ov.entries.push(if rng.below(2) == 0 {
+                    (v, f64::NEG_INFINITY, t)
+                } else {
+                    (v, t + 1.0, f64::INFINITY)
+                });
+                let ctx = format!("case {case} depth {depth} overrides {:?}", ov.entries);
+                if let Ok((lo, hi)) = bounds(&model, &ov) {
+                    if tree.fits(&hi) {
+                        let b = tree.bind(&model, lo, &hi);
+                        flipped += b
+                            .rhs
+                            .iter()
+                            .zip(&tree.ops)
+                            .any(|(&r, &op)| r < 0.0 && op == Cmp::Ge)
+                            as usize;
+                    } else {
+                        fresh_forms += 1;
+                    }
+                }
+                let in_tree = solve_lp_in(&tree, &model, &ov, MAX_SIMPLEX_ITERS, warm.as_ref());
+                let fresh = solve_lp_warm(&model, &ov, MAX_SIMPLEX_ITERS, warm.as_ref());
+                let dense = solve_lp_dense(&model, &ov);
+                match (&in_tree, &fresh, &dense) {
+                    (Ok(a), Ok(b), Ok(d)) => {
+                        assert!(same(a, b), "{ctx}: tree {a:?} fresh {b:?}");
+                        assert!(
+                            (a.objective - d.objective).abs() <= 1e-6 * (1.0 + d.objective.abs()),
+                            "{ctx}: sparse {} dense {}",
+                            a.objective,
+                            d.objective
+                        );
+                        solved += 1;
+                    }
+                    (Err(a), Err(b), Err(d)) => {
+                        assert_eq!((a, b), (d, d), "{ctx}");
+                    }
+                    _ => panic!("{ctx}: tree {in_tree:?} fresh {fresh:?} dense {dense:?}"),
+                }
+                match in_tree {
+                    Ok(lp) => warm = lp.basis,
+                    Err(_) => break,
+                }
+            }
+        }
+        assert!(
+            solved > 400 && flipped > 100 && fresh_forms > 100 && repeated > 100 && eq_rows > 100,
+            "coverage: {solved} solved, {flipped} with a flipped ≥ row, {fresh_forms} fresh forms, \
+             {repeated} models with repeated terms, {eq_rows} with = rows"
         );
     }
 
