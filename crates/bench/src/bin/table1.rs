@@ -246,7 +246,9 @@ fn print_durations(rows: &[KernelComparison], jobs: usize, total: Duration) {
 fn main() -> Result<(), frequenz_bench::CompareError> {
     let jobs = jobs_from_args();
     // One knob drives both pools: kernels compare in parallel *and* each
-    // flow's synthesis/slack lanes use the same worker width. Results are
+    // flow's synthesis/slack lanes use the same worker width. Branch and
+    // bound sizes its node-LP pool from the CPU mask instead, so `--jobs 1`
+    // is not single-threaded on a multi-core host. Results are
     // bit-identical at any job count, so this only trades wall clock.
     let opts = FlowOptions {
         jobs,

@@ -230,7 +230,6 @@ pub fn optimize_baseline_with_cache(
             sim_budget: opts.sim_budget,
             engine: opts.sim_engine,
             jobs: opts.jobs,
-            ..crate::slack::SlackOptions::default()
         };
         buffers = crate::slack::slack_match_traced(base, &buffers, &slack_opts, cache, &mut trace)?;
     }

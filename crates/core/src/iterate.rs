@@ -63,7 +63,10 @@ pub struct FlowOptions {
     /// the per-unit baseline characterization, and the slack-matching
     /// trial pool ([`SlackOptions::jobs`](crate::SlackOptions)). Every one
     /// of those stages is bit-identical at any job count; 0 is invalid
-    /// (rejected by [`FlowOptions::validate`]).
+    /// (rejected by [`FlowOptions::validate`]). The placement MILP's
+    /// branch-and-bound pool is not among them: it is sized from the CPU
+    /// mask ([`lutmap::default_jobs`]), so `jobs: 1` leaves a flow
+    /// single-threaded only on a single-CPU mask.
     pub jobs: usize,
     /// Carry each iteration's optimal MILP basis and incumbent into the
     /// next iteration's solve ([`milp::MilpWarmStore`]). Warm starts are
@@ -430,7 +433,6 @@ pub fn optimize_iterative_with_cache(
                     sim_budget: opts.sim_budget,
                     engine: opts.sim_engine,
                     jobs: opts.jobs,
-                    ..crate::slack::SlackOptions::default()
                 };
                 let widened = crate::slack::slack_match_traced(
                     base,

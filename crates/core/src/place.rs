@@ -263,9 +263,10 @@ fn build_model(
     // the largest kernel models and plenty for the small ones.
     model.set_work_limit(30_000);
     // Node LPs in parallel: branch-and-bound results are bit-identical at
-    // any thread count, so this is purely a throughput knob (capped — the
-    // bench runner may already be running kernels in parallel).
-    model.set_jobs(milp_jobs());
+    // any thread count, so this is purely a throughput knob. It is sized
+    // from the CPU mask (`lutmap::default_jobs`), not from
+    // `FlowOptions::jobs`, which never reaches the placer.
+    model.set_jobs(lutmap::default_jobs());
     let mut rvar: HashMap<ChannelId, VarId> = HashMap::default();
     for &c in &candidates {
         // The tiny deterministic epsilon breaks the symmetry of
@@ -326,16 +327,6 @@ fn build_model(
         phis,
         candidates,
     })
-}
-
-/// Worker threads for branch-and-bound node LPs. Capped low: the bench
-/// runner parallelizes across kernels already, and determinism means this
-/// can never change a result — only how fast it arrives.
-fn milp_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
 }
 
 /// Builds the seed placement MILP — the model the first cut round solves

@@ -42,13 +42,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
+/// Maximum buffers the pass may add.
+const MAX_ADDED: usize = 16;
+
+/// Stall-ranked channels tried per round, singly and in pairs.
+const CANDIDATES_PER_ROUND: usize = 8;
+
 /// Options for [`slack_match`].
 #[derive(Debug, Clone)]
 pub struct SlackOptions {
-    /// Maximum buffers the pass may add.
-    pub max_added: usize,
-    /// Stall-ranked candidates tried per round.
-    pub candidates_per_round: usize,
     /// Simulation cycle budget per trial.
     pub sim_budget: u64,
     /// LUT input count for the level re-check.
@@ -69,25 +71,13 @@ pub struct SlackOptions {
 impl Default for SlackOptions {
     fn default() -> Self {
         SlackOptions {
-            max_added: 16,
-            candidates_per_round: 8,
             sim_budget: 2_000_000,
             k: 6,
             target_levels: 6,
-            jobs: slack_jobs(),
+            jobs: lutmap::default_jobs(),
             engine: SimEngine::Compiled,
         }
     }
-}
-
-/// Worker threads for trial simulations. Capped low: the bench runner
-/// parallelizes across kernels already, and determinism means this can
-/// never change a result — only how fast it arrives.
-fn slack_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
 }
 
 /// How one pass instantiates simulators: a bytecode program compiled once
@@ -397,11 +387,11 @@ fn slack_match_inner(
     // `stalls` is always the profile of `current`: the pre-loop run, then
     // the accepted trial's own run. No round simulates `current` again.
     let mut added = 0usize;
-    while added < opts.max_added {
+    while added < MAX_ADDED {
         let top: Vec<ChannelId> = stalls
             .iter()
             .filter(|(c, _)| !current.contains(c))
-            .take(opts.candidates_per_round.max(2))
+            .take(CANDIDATES_PER_ROUND)
             .map(|(c, _)| *c)
             .collect();
         // Candidate sets: singles first, then pairs — ring re-alignment
@@ -413,7 +403,7 @@ fn slack_match_inner(
                 candidates.push(vec![top[i], top[j]]);
             }
         }
-        candidates.retain(|cand| added + cand.len() <= opts.max_added);
+        candidates.retain(|cand| added + cand.len() <= MAX_ADDED);
 
         // Simulate every candidate concurrently, capped at the round-start
         // incumbent: a trial reaching `best_cycles` can only be rejected,
@@ -534,7 +524,6 @@ mod tests {
         let opts = SlackOptions {
             sim_budget: k.max_cycles * 4,
             target_levels: 32,
-            max_added: 8,
             ..SlackOptions::default()
         };
         let matched = slack_match(k.graph(), &seed, &opts).unwrap();
@@ -568,7 +557,6 @@ mod tests {
         let opts = SlackOptions {
             sim_budget: k.max_cycles * 4,
             target_levels: 16,
-            max_added: 4,
             ..SlackOptions::default()
         };
         let mut trace = FlowTrace::default();

@@ -272,83 +272,62 @@ mod tests {
         assert!((t.cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
+    /// A trace with every field named and set to `n` times a value of its
+    /// own, so a field that `absorb` drops, overwrites or adds into the
+    /// wrong slot shows up in the sums below. No `..FlowTrace::default()`:
+    /// a new field fails to compile here until it is named.
+    fn every_field(n: u64) -> FlowTrace {
+        let ms = |k: u64| Duration::from_millis(k * n);
+        let c = |k: u64| k * n;
+        FlowTrace {
+            synth: ms(2),
+            timing: ms(3),
+            milp: ms(5),
+            slack: ms(7),
+            total: ms(11),
+            cache_hits: c(13),
+            cache_misses: c(17),
+            cut_rounds: c(19) as usize,
+            milp_pivots: c(23),
+            milp_refactors: c(29),
+            milp_nodes: c(31),
+            milp_rows_dropped: c(37),
+            milp_cuts: c(41),
+            milp_cut_rounds: c(43),
+            milp_nodes_pruned: c(47),
+            milp_bounds_tightened: c(53),
+            milp_warm_hits: c(59),
+            milp_warm_misses: c(61),
+            milp_solves: c(67),
+            milp_truncated: c(71),
+            milp_lp_fallbacks: c(73),
+            iterations: c(79) as usize,
+            synth_full: ms(83),
+            synth_incremental: ms(89),
+            incr_synths: c(97),
+            full_synths: c(101),
+            labels_reused: c(103),
+            labels_computed: c(107),
+            dirty_bbs: c(109),
+            clean_bbs: c(113),
+            sim: ms(127),
+            sim_runs: c(131),
+            sim_cycles: c(137),
+            sim_compiles: c(139),
+            slack_trials: c(149),
+            slack_trials_pruned: c(151),
+            par_unit_tasks: c(157),
+            par_pack_tasks: c(163),
+        }
+    }
+
     #[test]
     fn absorb_accumulates() {
-        let mut a = FlowTrace {
-            cache_hits: 1,
-            cut_rounds: 2,
-            iterations: 1,
-            synth: Duration::from_millis(10),
-            par_unit_tasks: 2,
-            ..FlowTrace::default()
-        };
-        let b = FlowTrace {
-            cache_hits: 2,
-            cache_misses: 5,
-            cut_rounds: 3,
-            milp_pivots: 100,
-            milp_refactors: 2,
-            milp_nodes: 9,
-            milp_rows_dropped: 11,
-            milp_cuts: 6,
-            milp_cut_rounds: 2,
-            milp_nodes_pruned: 4,
-            milp_bounds_tightened: 13,
-            milp_warm_hits: 3,
-            milp_warm_misses: 2,
-            milp_solves: 7,
-            milp_truncated: 3,
-            milp_lp_fallbacks: 1,
-            iterations: 4,
-            synth: Duration::from_millis(5),
-            synth_incremental: Duration::from_millis(2),
-            incr_synths: 2,
-            labels_reused: 10,
-            labels_computed: 30,
-            dirty_bbs: 4,
-            clean_bbs: 6,
-            sim: Duration::from_millis(7),
-            sim_runs: 3,
-            sim_cycles: 900,
-            sim_compiles: 2,
-            slack_trials: 12,
-            slack_trials_pruned: 5,
-            par_unit_tasks: 3,
-            par_pack_tasks: 40,
-            ..FlowTrace::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.cache_hits, 3);
-        assert_eq!(a.cache_misses, 5);
-        assert_eq!(a.cut_rounds, 5);
-        assert_eq!(a.milp_pivots, 100);
-        assert_eq!(a.milp_refactors, 2);
-        assert_eq!(a.milp_nodes, 9);
-        assert_eq!(a.milp_rows_dropped, 11);
-        assert_eq!(a.milp_cuts, 6);
-        assert_eq!(a.milp_cut_rounds, 2);
-        assert_eq!(a.milp_nodes_pruned, 4);
-        assert_eq!(a.milp_bounds_tightened, 13);
-        assert_eq!(a.milp_warm_hits, 3);
-        assert_eq!(a.milp_warm_misses, 2);
-        assert_eq!(a.milp_solves, 7);
-        assert_eq!(a.milp_truncated, 3);
-        assert_eq!(a.milp_lp_fallbacks, 1);
-        assert_eq!(a.iterations, 5);
-        assert_eq!(a.synth, Duration::from_millis(15));
-        assert_eq!(a.synth_incremental, Duration::from_millis(2));
-        assert_eq!(a.incr_synths, 2);
-        assert_eq!(a.labels_reused, 10);
-        assert_eq!(a.dirty_bbs, 4);
-        assert_eq!(a.clean_bbs, 6);
-        assert_eq!(a.sim, Duration::from_millis(7));
-        assert_eq!(a.sim_runs, 3);
-        assert_eq!(a.sim_cycles, 900);
-        assert_eq!(a.sim_compiles, 2);
-        assert_eq!(a.slack_trials, 12);
-        assert_eq!(a.slack_trials_pruned, 5);
-        assert_eq!(a.par_unit_tasks, 5);
-        assert_eq!(a.par_pack_tasks, 40);
+        let mut t = FlowTrace::default();
+        t.absorb(&every_field(1));
+        assert_eq!(t, every_field(1), "absorbing into a default trace");
+        t.absorb(&every_field(2));
+        assert_eq!(t, every_field(3), "absorbing into a non-default trace");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 /// A basic block of the source program.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BasicBlock {
     pub(crate) name: String,
 }

@@ -5,7 +5,6 @@ use std::fmt;
 
 /// A reference to one port of one unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PortRef {
     /// The unit owning the port.
     pub unit: UnitId,
@@ -37,7 +36,6 @@ impl fmt::Display for PortRef {
 /// latency). The paper's optimizer decides opaque placement; transparent
 /// slots accompany opaque ones to restore full throughput (capacity 2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferSpec {
     /// Breaks data/valid; +1 cycle latency; +1 slot.
     pub opaque: bool,
@@ -100,7 +98,6 @@ impl fmt::Display for BufferSpec {
 
 /// A handshake channel between a producer port and a consumer port.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Channel {
     pub(crate) src: PortRef,
     pub(crate) dst: PortRef,

@@ -9,7 +9,6 @@
 /// [`UnitKind::Load`]: crate::UnitKind::Load
 /// [`UnitKind::Store`]: crate::UnitKind::Store
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Memory {
     pub(crate) name: String,
     pub(crate) size: usize,

@@ -6,7 +6,6 @@ use std::fmt;
 
 /// Arithmetic / logic operation performed by an [`UnitKind::Operator`] unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OpKind {
     /// Two's-complement addition.
     Add,
@@ -111,7 +110,6 @@ impl fmt::Display for OpKind {
 /// Data widths are per-unit (see [`Unit::width`]); width 0 denotes a pure
 /// control token that carries no payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum UnitKind {
     /// Eager fork: replicates each input token to all `outputs` successors,
     /// allowing successors to consume at different times.
@@ -186,7 +184,6 @@ pub enum UnitKind {
 
 /// Direction of a unit port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PortDir {
     /// Token consumer side.
     Input,
@@ -196,7 +193,6 @@ pub enum PortDir {
 
 /// Signature of one port of a unit: direction and bit width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PortSpec {
     /// Whether the port consumes or produces tokens.
     pub dir: PortDir,
@@ -306,7 +302,6 @@ pub(crate) fn select_width(n: usize) -> u16 {
 
 /// A dataflow unit instance inside a [`Graph`](crate::Graph).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Unit {
     pub(crate) kind: UnitKind,
     pub(crate) name: String,

@@ -5,7 +5,6 @@ use std::fmt;
 
 /// Identifier of a LUT within a [`LutNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LutId(pub(crate) u32);
 
 impl LutId {
@@ -29,7 +28,6 @@ impl fmt::Display for LutId {
 /// One input of a LUT: either another LUT's output or a sequential /
 /// external startpoint (register output, primary input, constant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LutInput {
     /// Output of another LUT.
     Lut(LutId),
@@ -39,7 +37,6 @@ pub enum LutInput {
 
 /// A mapped K-input LUT.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lut {
     pub(crate) root: GateId,
     pub(crate) inputs: Vec<LutInput>,
@@ -80,7 +77,6 @@ impl Lut {
 /// The result of technology mapping: a network of K-LUTs covering the
 /// combinational logic between startpoints and endpoints.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LutNetwork {
     pub(crate) luts: Vec<Lut>,
     pub(crate) k: usize,

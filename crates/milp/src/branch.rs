@@ -245,23 +245,7 @@ fn validate_seed(model: &Model, seed: &[f64]) -> Option<Solution> {
         .zip(&values)
         .map(|(d, &x)| d.obj * x)
         .sum();
-    Some(Solution {
-        values,
-        objective,
-        status: Status::Optimal,
-        nodes: 0,
-        pivots: 0,
-        dual_pivots: 0,
-        refactors: 0,
-        truncated: false,
-        cuts: 0,
-        cut_rounds: 0,
-        cut_score_rejected: 0,
-        nodes_pruned: 0,
-        warm_used: false,
-        presolve: crate::presolve::PresolveReport::default(),
-        root_basis: None,
-    })
+    Some(Solution::new(values, objective, Status::Optimal))
 }
 
 /// Deterministic repair of a stale warm-start incumbent: clamp every
@@ -361,6 +345,16 @@ impl<'m> Search<'m> {
         }
     }
 
+    /// Bills one LP solve: its pivots plus [`LP_SOLVE_OVERHEAD`] to the
+    /// work meter, and its pivots, dual pivots and refactorizations to the
+    /// reported counters.
+    fn charge(&mut self, lp: &LpSolution) {
+        self.work += lp.pivots + LP_SOLVE_OVERHEAD;
+        self.pivots += lp.pivots;
+        self.dual_pivots += lp.dual_pivots;
+        self.refactors += lp.refactors;
+    }
+
     fn next_seq(&mut self) -> u64 {
         let s = self.seq;
         self.seq += 1;
@@ -403,23 +397,7 @@ impl<'m> Search<'m> {
                         values[v] = values[v].round();
                     }
                 }
-                let candidate = Solution {
-                    values,
-                    objective: lp.objective,
-                    status: Status::Optimal,
-                    nodes: 0,
-                    pivots: 0,
-                    dual_pivots: 0,
-                    refactors: 0,
-                    truncated: false,
-                    cuts: 0,
-                    cut_rounds: 0,
-                    cut_score_rejected: 0,
-                    nodes_pruned: 0,
-                    warm_used: false,
-                    presolve: crate::presolve::PresolveReport::default(),
-                    root_basis: None,
-                };
+                let candidate = Solution::new(values, lp.objective, Status::Optimal);
                 let replace = self
                     .incumbent
                     .as_ref()
@@ -544,10 +522,7 @@ pub(crate) fn branch_and_bound(
         Engine::DenseTableau => (crate::dense::solve_lp_dense(model, &root_ov)?, Vec::new()),
     };
     let warm_used = root_lp.warmed || seeded;
-    search.work += root_lp.pivots + LP_SOLVE_OVERHEAD;
-    search.pivots += root_lp.pivots;
-    search.dual_pivots += root_lp.dual_pivots;
-    search.refactors += root_lp.refactors;
+    search.charge(&root_lp);
     // Export the *pre-cut* root basis: it indexes the base model's rows, so
     // the next structurally identical solve (which starts cut-free) can
     // adopt it. A post-cut basis would reference appended rows the next
@@ -562,7 +537,6 @@ pub(crate) fn branch_and_bound(
     let mut work_model = model.clone();
     let mut cuts_added = 0u64;
     let mut cut_rounds = 0u64;
-    let mut cut_score_rejected = 0u64;
     // Cutting shares the deterministic pivot budget with the search but may
     // spend at most a quarter of it: cut re-solves strengthen the bound,
     // branching closes it, and a cut loop that starves the tree is a net
@@ -584,12 +558,10 @@ pub(crate) fn branch_and_bound(
             }
             // Quality gate: keep only the round budget of deepest,
             // mutually diverse cuts instead of appending everything the
-            // separators produced — rejected cuts are counted, and the
-            // next round can re-separate a better variant from the moved
-            // root point if one exists.
-            let (batch, n_rejected) =
-                crate::cuts::select_cuts(batch, &root_lp.values, work_model.vars.len());
-            cut_score_rejected += n_rejected;
+            // separators produced — the next round can re-separate a
+            // better variant of a rejected cut from the moved root point
+            // if one exists.
+            let batch = crate::cuts::select_cuts(batch, &root_lp.values, work_model.vars.len());
             if batch.is_empty() {
                 break;
             }
@@ -610,10 +582,7 @@ pub(crate) fn branch_and_bound(
                 another_round,
             ) {
                 Ok((lp, gmi)) if !lp.truncated => {
-                    search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                    search.pivots += lp.pivots;
-                    search.dual_pivots += lp.dual_pivots;
-                    search.refactors += lp.refactors;
+                    search.charge(&lp);
                     cuts_added += n_new;
                     cut_rounds += 1;
                     root_lp = lp;
@@ -623,10 +592,7 @@ pub(crate) fn branch_and_bound(
                     // Truncated or failed re-solve: drop this round's cuts
                     // and keep the last good root state.
                     if let Ok((lp, _)) = other {
-                        search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                        search.pivots += lp.pivots;
-                        search.dual_pivots += lp.dual_pivots;
-                        search.refactors += lp.refactors;
+                        search.charge(&lp);
                         search.hit_limit = true;
                     }
                     work_model.constraints.truncate(len_before);
@@ -665,23 +631,13 @@ pub(crate) fn branch_and_bound(
             purged.constraints.extend(kept);
             let budget = lp_budget(model.work_limit, search.work);
             if budget >= MIN_LP_BUDGET {
-                match solve_lp_warm(&purged, &root_ov, budget, root_basis.as_ref()) {
-                    Ok(lp) if !lp.truncated => {
-                        search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                        search.pivots += lp.pivots;
-                        search.dual_pivots += lp.dual_pivots;
-                        search.refactors += lp.refactors;
+                if let Ok(lp) = solve_lp_warm(&purged, &root_ov, budget, root_basis.as_ref()) {
+                    search.charge(&lp);
+                    if !lp.truncated {
                         work_model = purged;
                         root_lp = lp;
                         cuts_added = n_kept;
                     }
-                    Ok(lp) => {
-                        search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                        search.pivots += lp.pivots;
-                        search.dual_pivots += lp.dual_pivots;
-                        search.refactors += lp.refactors;
-                    }
-                    Err(_) => {}
                 }
             }
         }
@@ -735,10 +691,7 @@ pub(crate) fn branch_and_bound(
         let budget = lp_budget(model.work_limit, search.work);
         if budget >= MIN_LP_BUDGET {
             if let Ok(lp) = solve_node(&work_model, form(), &dive, budget) {
-                search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-                search.pivots += lp.pivots;
-                search.dual_pivots += lp.dual_pivots;
-                search.refactors += lp.refactors;
+                search.charge(&lp);
                 // Even a truncated phase 2 keeps primal feasibility, and
                 // the fixed bounds force integrality — accept it.
                 let mut values = lp.values.clone();
@@ -747,23 +700,7 @@ pub(crate) fn branch_and_bound(
                         values[v] = values[v].round();
                     }
                 }
-                search.incumbent = Some(Solution {
-                    values,
-                    objective: lp.objective,
-                    status: Status::Feasible,
-                    nodes: 0,
-                    pivots: 0,
-                    dual_pivots: 0,
-                    refactors: 0,
-                    truncated: false,
-                    cuts: 0,
-                    cut_rounds: 0,
-                    cut_score_rejected: 0,
-                    nodes_pruned: 0,
-                    warm_used: false,
-                    presolve: crate::presolve::PresolveReport::default(),
-                    root_basis: None,
-                });
+                search.incumbent = Some(Solution::new(values, lp.objective, Status::Feasible));
                 search.last_gain = search.work;
             }
         }
@@ -855,10 +792,7 @@ pub(crate) fn branch_and_bound(
                 }
                 Err(e) => return Err(e),
             };
-            search.work += lp.pivots + LP_SOLVE_OVERHEAD;
-            search.pivots += lp.pivots;
-            search.dual_pivots += lp.dual_pivots;
-            search.refactors += lp.refactors;
+            search.charge(&lp);
             search.process(entry.node, entry.depth, lp);
         }
     }
@@ -892,7 +826,6 @@ pub(crate) fn branch_and_bound(
             sol.nodes_pruned = nodes_pruned;
             sol.cuts = cuts_added;
             sol.cut_rounds = cut_rounds;
-            sol.cut_score_rejected = cut_score_rejected;
             sol.warm_used = warm_used;
             sol.root_basis = root_basis;
             Ok(sol)

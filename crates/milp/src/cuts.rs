@@ -159,7 +159,7 @@ const CUT_PARALLEL_MAX: f64 = 0.95;
 
 /// Scores a deduplicated separation round and keeps only the best
 /// [`CUT_ROUND_BUDGET`] cuts instead of all of them. Returns the selected
-/// cuts (in their original generation order) and the number rejected.
+/// cuts in their original generation order.
 ///
 /// The score is the classical **efficacy** — the Euclidean distance the
 /// cut pushes the root point `values`, `violation / ‖a‖₂` — boosted by up
@@ -169,13 +169,9 @@ const CUT_PARALLEL_MAX: f64 = 0.95;
 /// (cosine > [`CUT_PARALLEL_MAX`]) to a cut already selected this round.
 /// Entirely a pure function of `(cuts, values)`, so the kept set — and
 /// with it every downstream pivot — is deterministic.
-pub(crate) fn select_cuts(
-    cuts: Vec<Constraint>,
-    values: &[f64],
-    n_vars: usize,
-) -> (Vec<Constraint>, u64) {
+pub(crate) fn select_cuts(cuts: Vec<Constraint>, values: &[f64], n_vars: usize) -> Vec<Constraint> {
     if cuts.len() <= 1 {
-        return (cuts, 0);
+        return cuts;
     }
     // (index, score, ≤-oriented unit direction sorted by variable).
     type Scored = (usize, f64, Vec<(usize, f64)>);
@@ -224,13 +220,10 @@ pub(crate) fn select_cuts(
         keep[*k] = true;
         chosen_dirs.push(dir);
     }
-    let n_rejected = keep.iter().filter(|&&k| !k).count() as u64;
-    let selected = cuts
-        .into_iter()
+    cuts.into_iter()
         .zip(keep)
         .filter_map(|(c, k)| k.then_some(c))
-        .collect();
-    (selected, n_rejected)
+        .collect()
 }
 
 /// Sparse dot product of two variable-sorted unit directions (the cosine

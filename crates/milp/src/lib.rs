@@ -9,9 +9,7 @@
 //! * deterministic, optionally parallel branch & bound over
 //!   integer/binary variables with incumbent pruning and warm-started
 //!   node bases ([`Model::set_jobs`]),
-//! * constraint-row canonicalization ([`Model::canonicalize`]),
-//! * a lazy-cut loop ([`Model::solve_with_cuts`]) used by the buffer
-//!   placer to add critical-path covering constraints on demand.
+//! * constraint-row canonicalization ([`Model::canonicalize`]).
 //!
 //! # The sparse revised simplex
 //!
@@ -64,11 +62,10 @@
 //! ([`Model::set_cut_rounds`]). Separated cuts pass a **quality scorer**
 //! before admission — ranked by efficacy (violation over coefficient
 //! norm), penalized for near-parallelism to already-selected cuts,
-//! preferring sparser rows, under a fixed per-round budget; rejects are
-//! counted in [`Solution::cut_score_rejected`]. Both layers can be
-//! disabled
-//! ([`Model::set_presolve`]) to recover the raw model as an oracle; the
-//! dense engine never generates cuts and serves the same role.
+//! preferring sparser rows, under a fixed per-round budget. Both layers
+//! can be disabled ([`Model::set_presolve`]) to recover the raw model as
+//! an oracle; the dense engine never generates cuts and serves the same
+//! role.
 //!
 //! # Deterministic parallel best-first branch & bound
 //!

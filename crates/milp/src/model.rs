@@ -5,7 +5,6 @@ use std::fmt;
 
 /// Identifier of a decision variable within a [`Model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -17,7 +16,6 @@ impl VarId {
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Sense {
     /// Maximize the objective.
     Maximize,
@@ -27,7 +25,6 @@ pub enum Sense {
 
 /// Constraint comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Cmp {
     /// `lhs ≤ rhs`
     Le,
@@ -39,7 +36,6 @@ pub enum Cmp {
 
 /// LP engine backing [`Model::solve`] and [`Model::solve_relaxation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Engine {
     /// Legacy dense two-phase tableau ([`crate::dense`]): every pivot
     /// rewrites the full tableau. Kept as the measured baseline and the
@@ -54,7 +50,6 @@ pub enum Engine {
 
 /// A linear constraint `Σ coeff·var (≤|≥|=) rhs`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Constraint {
     /// The linear terms (variable, coefficient).
     pub terms: Vec<(VarId, f64)>,
@@ -65,7 +60,6 @@ pub struct Constraint {
 }
 
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct VarDef {
     pub name: String,
     pub lo: f64,
@@ -76,7 +70,6 @@ pub(crate) struct VarDef {
 
 /// Solution quality indicator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Status {
     /// Proven optimal.
     Optimal,
@@ -86,7 +79,6 @@ pub enum Status {
 
 /// A solved assignment.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Solution {
     /// Value per variable, indexed by [`VarId`].
     pub values: Vec<f64>,
@@ -114,10 +106,6 @@ pub struct Solution {
     pub cuts: u64,
     /// Root cut-separation rounds that added at least one cut.
     pub cut_rounds: u64,
-    /// Separated cuts rejected by the quality scorer (low efficacy, near
-    /// parallelism to a selected cut, or over the round budget) instead of
-    /// being added to the root LP.
-    pub cut_score_rejected: u64,
     /// Best-first entries discarded by bound before their LP was solved
     /// (these never count toward `nodes`).
     pub nodes_pruned: u64,
@@ -132,6 +120,27 @@ pub struct Solution {
 }
 
 impl Solution {
+    /// The point `values` with objective `objective` and every search
+    /// counter at zero: the caller fills in what its solve counted.
+    pub(crate) fn new(values: Vec<f64>, objective: f64, status: Status) -> Solution {
+        Solution {
+            values,
+            objective,
+            status,
+            nodes: 0,
+            pivots: 0,
+            dual_pivots: 0,
+            refactors: 0,
+            truncated: false,
+            cuts: 0,
+            cut_rounds: 0,
+            nodes_pruned: 0,
+            warm_used: false,
+            presolve: crate::presolve::PresolveReport::default(),
+            root_basis: None,
+        }
+    }
+
     /// Value of `v`.
     pub fn value(&self, v: VarId) -> f64 {
         self.values[v.0]
@@ -190,7 +199,6 @@ impl std::error::Error for SolveError {}
 
 /// What [`Model::canonicalize`] removed, row by row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RowReduction {
     /// Constraint rows before canonicalization.
     pub original: usize,
@@ -215,7 +223,6 @@ impl RowReduction {
 
 /// A mixed-integer linear program.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarDef>,
@@ -575,50 +582,14 @@ impl Model {
             Engine::DenseTableau => crate::dense::solve_lp_dense(self, &ov)?,
         };
         Ok(Solution {
-            values: lp.values,
-            objective: lp.objective,
-            status: Status::Feasible,
             nodes: 1,
             pivots: lp.pivots,
             dual_pivots: lp.dual_pivots,
             refactors: lp.refactors,
             truncated: lp.truncated,
-            cuts: 0,
-            cut_rounds: 0,
-            cut_score_rejected: 0,
-            nodes_pruned: 0,
-            warm_used: false,
-            presolve: crate::presolve::PresolveReport::default(),
             root_basis: lp.basis,
+            ..Solution::new(lp.values, lp.objective, Status::Feasible)
         })
-    }
-
-    /// Solves with lazy cuts: after each integer-optimal solution the
-    /// callback may return additional constraints (cuts); solving repeats
-    /// until the callback returns no cuts. Returns the final solution and
-    /// the number of cut rounds.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`]; infeasibility may also arise from the cuts.
-    pub fn solve_with_cuts<F>(
-        &mut self,
-        max_rounds: usize,
-        mut cuts: F,
-    ) -> Result<(Solution, usize), SolveError>
-    where
-        F: FnMut(&Solution) -> Vec<Constraint>,
-    {
-        let mut rounds = 0;
-        loop {
-            let sol = self.solve()?;
-            let new_cuts = cuts(&sol);
-            if new_cuts.is_empty() || rounds >= max_rounds {
-                return Ok((sol, rounds));
-            }
-            rounds += 1;
-            self.constraints.extend(new_cuts);
-        }
     }
 }
 
@@ -721,29 +692,6 @@ mod tests {
         m.add_constraint(vec![(x, 2.0)], Cmp::Le, 3.0);
         let sol = m.solve().unwrap();
         assert!((sol.value(x) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn lazy_cuts_tighten() {
-        // max x + y, x,y in [0,1] binary; cut rounds force x + y <= 1.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_binary("x", 1.0);
-        let y = m.add_binary("y", 1.0);
-        let (sol, rounds) = m
-            .solve_with_cuts(10, |s| {
-                if s.value(x) + s.value(y) > 1.5 {
-                    vec![Constraint {
-                        terms: vec![(x, 1.0), (y, 1.0)],
-                        op: Cmp::Le,
-                        rhs: 1.0,
-                    }]
-                } else {
-                    Vec::new()
-                }
-            })
-            .unwrap();
-        assert_eq!(rounds, 1);
-        assert!((sol.objective - 1.0).abs() < 1e-6);
     }
 
     #[test]

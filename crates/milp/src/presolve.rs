@@ -55,7 +55,6 @@ const MAX_ROUNDS: usize = 32;
 
 /// What one [`Model::presolve`](crate::Model::presolve) pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PresolveReport {
     /// Constraint rows before the pass.
     pub rows_before: usize,

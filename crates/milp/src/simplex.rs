@@ -108,7 +108,6 @@ pub(crate) struct LpSolution {
 /// deterministic; a basis from a mismatched model simply fails them and
 /// the solve cold-starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WarmBasis {
     /// Row count of the system the basis was taken from.
     pub rows: usize,
@@ -1130,16 +1129,6 @@ pub(crate) fn solve_lp(
     solve_lp_warm(model, overrides, MAX_SIMPLEX_ITERS, None)
 }
 
-/// [`solve_lp`] with an explicit per-phase iteration valve (test hook).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn solve_lp_with_limit(
-    model: &Model,
-    overrides: &BoundOverrides,
-    max_iters: u64,
-) -> Result<LpSolution, SolveError> {
-    solve_lp_warm(model, overrides, max_iters, None)
-}
-
 /// [`solve_lp`] with an optional warm-start basis from a parent node.
 pub(crate) fn solve_lp_warm(
     model: &Model,
@@ -1685,7 +1674,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 4.0, 1.0, false);
         let y = m.add_var("y", 0.0, 4.0, 1.0, false);
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 6.0);
-        let lp = solve_lp_with_limit(&m, &BoundOverrides::default(), 1).unwrap();
+        let lp = solve_lp_warm(&m, &BoundOverrides::default(), 1, None).unwrap();
         assert!(lp.truncated);
         // Still primal feasible w.r.t. the single row and the bounds.
         assert!(lp.values[0] + lp.values[1] <= 6.0 + 1e-9);

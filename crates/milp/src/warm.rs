@@ -37,7 +37,6 @@ use std::sync::Mutex;
 
 /// Warm-start payload for [`Model::solve_warm`](crate::Model::solve_warm).
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WarmStart {
     /// Root basis of a previous solve (adopted only after revalidation).
     pub basis: Option<WarmBasis>,

@@ -5,7 +5,6 @@ use std::fmt;
 
 /// Identifier of a gate within a [`Netlist`](crate::Netlist).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GateId(pub(crate) u32);
 
 impl GateId {
@@ -32,7 +31,6 @@ impl fmt::Display for GateId {
 /// comparators) are decomposed into them so the optimizer and the LUT
 /// mapper see a homogeneous network, like a BLIF read into ABC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GateKind {
     /// Constant 0/1.
     Const(bool),
@@ -106,7 +104,6 @@ impl GateKind {
 /// Where a gate came from: the provenance the LUT mapper propagates so the
 /// paper's LUT→DFG mapping can recover unit boundaries after synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Origin {
     /// Logic belonging to a dataflow unit.
     Unit(UnitId),
@@ -128,7 +125,6 @@ impl fmt::Display for Origin {
 
 /// One gate of a netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Gate {
     pub(crate) kind: GateKind,
     pub(crate) fanin: Vec<GateId>,

@@ -11,7 +11,6 @@ use dataflow::collections::HashMap;
 /// (side-effecting nets such as store commits and the exit handshake):
 /// everything not transitively feeding a keep or a live register is dead.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Netlist {
     gates: Vec<Gate>,
     keeps: Vec<(GateId, String)>,

@@ -15,7 +15,6 @@ use crate::netgraph::{strash_key, Netlist, StrashMap};
 
 /// Statistics reported by [`Netlist::optimize`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OptStats {
     /// Number of full rewrite passes executed.
     pub passes: u32,
