@@ -14,7 +14,7 @@
 //! job count, the only output that differs between runs and job counts;
 //! `scripts/check_table1.sh` pins every line above it.
 
-use frequenz_bench::{jobs_from_args, run_table1_jobs, KernelComparison};
+use frequenz_bench::{compare_kernels, jobs_from_args, CompareError, KernelComparison};
 use frequenz_core::{FlowOptions, FlowTrace};
 use std::time::Duration;
 
@@ -84,6 +84,45 @@ fn flows(
 /// Formats counters as cells.
 fn counts<const N: usize>(values: [u64; N]) -> Vec<String> {
     values.iter().map(u64::to_string).collect()
+}
+
+/// Compares the nine evaluation kernels on `jobs` threads, prints Table I
+/// and returns the comparisons. Rows are in kernel order no matter the job
+/// count.
+///
+/// # Errors
+///
+/// Propagates the first (in kernel order) kernel failure.
+fn run_table1_jobs(opts: &FlowOptions, jobs: usize) -> Result<Vec<KernelComparison>, CompareError> {
+    let rows = compare_kernels(&hls::kernels::all_kernels(), opts, jobs)?;
+    println!(
+        "{:<15} | {:>6} {:>6} | {:>8} {:>8} | {:>9} {:>9} {:>6} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6} | {:>5} {:>5} | {:>5}",
+        "Benchmark", "CP(P)", "CP(I)", "Cyc(P)", "Cyc(I)", "ET(P)", "ET(I)", "ET%",
+        "LUT(P)", "LUT(I)", "LUT%", "FF(P)", "FF(I)", "FF%", "LL(P)", "LL(I)", "iters"
+    );
+    for c in &rows {
+        println!(
+            "{:<15} | {:>6.2} {:>6.2} | {:>8} {:>8} | {:>9.0} {:>9.0} {:>+5.0}% | {:>6} {:>6} {:>+5.0}% | {:>6} {:>6} {:>+5.0}% | {:>5} {:>5} | {:>5}",
+            c.name,
+            c.prev.cp_ns,
+            c.iter.cp_ns,
+            c.prev.cycles,
+            c.iter.cycles,
+            c.prev.exec_time_ns,
+            c.iter.exec_time_ns,
+            100.0 * c.et_ratio(),
+            c.prev.luts,
+            c.iter.luts,
+            100.0 * c.lut_ratio(),
+            c.prev.ffs,
+            c.iter.ffs,
+            100.0 * c.ff_ratio(),
+            c.prev.logic_levels,
+            c.iter.logic_levels,
+            c.iter_iterations,
+        );
+    }
+    Ok(rows)
 }
 
 /// The counter tables: one per layer, both flows, nothing timed.
@@ -243,7 +282,7 @@ fn print_durations(rows: &[KernelComparison], jobs: usize, total: Duration) {
     );
 }
 
-fn main() -> Result<(), frequenz_bench::CompareError> {
+fn main() -> Result<(), CompareError> {
     let jobs = jobs_from_args();
     // One knob drives both pools: kernels compare in parallel *and* each
     // flow's synthesis/slack lanes use the same worker width. Branch and

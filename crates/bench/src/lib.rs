@@ -1,6 +1,6 @@
 //! Benchmark harness: the shared Prev-vs-Iter comparison runner and the
 //! `--jobs` parser used by the table/figure regeneration binaries
-//! (`table1`, `figure5`, the ablations, `utilization`).
+//! (`table1`, the ablations, `utilization`).
 //!
 //! Comparisons run **in parallel** across kernels ([`parallel_map`],
 //! `--jobs N` in every binary) with a per-kernel [`SynthCache`] shared by
@@ -251,11 +251,6 @@ pub fn compare_kernel(
     })
 }
 
-/// The evaluation kernel set (Table I scale).
-pub fn evaluation_kernels() -> Vec<Kernel> {
-    hls::kernels::all_kernels()
-}
-
 /// Runs [`compare_kernel`] over `kernels` on `jobs` threads; rows come
 /// back in kernel order.
 ///
@@ -283,49 +278,6 @@ pub fn compare_kernels(
         out
     });
     results.into_iter().collect()
-}
-
-/// Prints a Table I-style header + rows and returns the comparisons,
-/// comparing kernels on `jobs` threads. Output rows are in kernel order no
-/// matter the job count.
-///
-/// # Errors
-///
-/// Propagates the first (in kernel order) kernel failure.
-pub fn run_table1_jobs(
-    opts: &FlowOptions,
-    jobs: usize,
-) -> Result<Vec<KernelComparison>, CompareError> {
-    let kernels = evaluation_kernels();
-    let rows = compare_kernels(&kernels, opts, jobs)?;
-    println!(
-        "{:<15} | {:>6} {:>6} | {:>8} {:>8} | {:>9} {:>9} {:>6} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6} | {:>5} {:>5} | {:>5}",
-        "Benchmark", "CP(P)", "CP(I)", "Cyc(P)", "Cyc(I)", "ET(P)", "ET(I)", "ET%",
-        "LUT(P)", "LUT(I)", "LUT%", "FF(P)", "FF(I)", "FF%", "LL(P)", "LL(I)", "iters"
-    );
-    for c in &rows {
-        println!(
-            "{:<15} | {:>6.2} {:>6.2} | {:>8} {:>8} | {:>9.0} {:>9.0} {:>+5.0}% | {:>6} {:>6} {:>+5.0}% | {:>6} {:>6} {:>+5.0}% | {:>5} {:>5} | {:>5}",
-            c.name,
-            c.prev.cp_ns,
-            c.iter.cp_ns,
-            c.prev.cycles,
-            c.iter.cycles,
-            c.prev.exec_time_ns,
-            c.iter.exec_time_ns,
-            100.0 * c.et_ratio(),
-            c.prev.luts,
-            c.iter.luts,
-            100.0 * c.lut_ratio(),
-            c.prev.ffs,
-            c.iter.ffs,
-            100.0 * c.ff_ratio(),
-            c.prev.logic_levels,
-            c.iter.logic_levels,
-            c.iter_iterations,
-        );
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]

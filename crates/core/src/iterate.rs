@@ -9,17 +9,16 @@
 //! within a couple of iterations in practice (Section VI-A observes < 3).
 
 use crate::cfdfc::extract_cfdfcs_traced;
-use crate::lutdfg::{map_lut_edges_cached, ClassifyCache, LutDfgMap};
+use crate::lutdfg::{map_lut_edges_cached, ClassifyCache};
 use crate::penalty::compute_penalties;
 use crate::place::{place_buffers_warm, PlaceError, PlacementProblem};
-use crate::synth::{SynthCache, SynthHandle, SynthOptions, Synthesis};
+use crate::synth::{SynthCache, SynthHandle, SynthOptions};
 use crate::timing::TimingGraph;
 use crate::trace::{timed, FlowTrace, SimStats};
 use dataflow::collections::{HashMap, HashSet};
 use dataflow::{count_dirty_bbs, fingerprint_bbs, BufferSpec, ChannelId, Graph};
 use lutmap::MapError;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Tuning knobs of both flows (iterative and baseline).
@@ -317,12 +316,10 @@ pub fn optimize_iterative_with_cache(
 
     // Incremental-re-synthesis state: the previous iteration's synthesis
     // handle serves as the basis for the next one (FlowMap labels of
-    // structurally unchanged cones are reused), the classify memo carries
-    // LUT-edge classifications across iterations (they depend only on the
-    // base topology), and the previous timing model is reused wholesale
-    // when the fixed-buffer set did not change the synthesis.
+    // structurally unchanged cones are reused), and the classify memo
+    // carries LUT-edge classifications across iterations (they depend only
+    // on the base topology).
     let mut prev_handle: Option<SynthHandle> = None;
-    let mut prev_model: Option<(Arc<Synthesis>, LutDfgMap, TimingGraph)> = None;
     let mut prev_bbs: Option<Vec<(dataflow::BasicBlockId, dataflow::Fingerprint)>> = None;
     let mut classify_cache = ClassifyCache::default();
 
@@ -350,26 +347,20 @@ pub fn optimize_iterative_with_cache(
         prev_bbs = Some(cur_bbs);
 
         let cur_handle = synth_step(&mut trace, cache, &g_cur, &synth_opts, prev_handle.as_ref())?;
-        let synth = cur_handle.synthesis().clone();
-        let (map, timing) = match &prev_model {
-            Some((ps, pm, pt)) if Arc::ptr_eq(ps, &synth) => (pm.clone(), pt.clone()),
-            _ => timed(&mut trace.timing, || {
-                let m = map_lut_edges_cached(base, &synth, &mut classify_cache);
-                let t = TimingGraph::build(base, &synth, &m);
-                (m, t)
-            }),
-        };
-        prev_model = Some((synth.clone(), map, timing));
-        let timing = &prev_model.as_ref().expect("just set").2;
+        let synth = cur_handle.synthesis();
+        let timing = timed(&mut trace.timing, || {
+            let map = map_lut_edges_cached(base, synth, &mut classify_cache);
+            TimingGraph::build(base, synth, &map)
+        });
         let penalties = if opts.use_penalties {
-            timed(&mut trace.timing, || compute_penalties(base, timing))
+            timed(&mut trace.timing, || compute_penalties(base, &timing))
         } else {
             HashMap::default()
         };
 
         let problem = PlacementProblem {
             graph: base,
-            timing,
+            timing: &timing,
             penalties: &penalties,
             cfdfcs: &cfdfcs,
             // Adaptive margin: every missed iteration tightens the

@@ -68,8 +68,6 @@ pub use report::{
 };
 pub use sim::{SimEngine, SimOptions};
 pub use slack::{slack_match, slack_match_traced, SlackOptions};
-pub use synth::{
-    synthesize, synthesize_opts, SynthCache, SynthDelta, SynthHandle, SynthOptions, Synthesis,
-};
+pub use synth::{synthesize, SynthCache, SynthDelta, SynthHandle, SynthOptions, Synthesis};
 pub use timing::{CriticalPath, TimingEdge, TimingGraph, TimingNode, TimingNodeId};
 pub use trace::{FlowTrace, SimStats};

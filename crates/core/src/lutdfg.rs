@@ -135,7 +135,7 @@ fn domain_meet(g: &Graph, a: UnitId, b: UnitId) -> Option<(UnitId, Vec<ChannelId
 /// A memo of [`EdgeTarget`] classifications keyed by the LUT endpoints'
 /// provenance.
 ///
-/// [`classify`] is a pure function of the *base* graph topology and the two
+/// `classify` is a pure function of the *base* graph topology and the two
 /// origins — buffer annotations change neither the unit set nor the
 /// channel set — so a cache built against one buffer configuration is
 /// valid for every other configuration of the same base graph. The

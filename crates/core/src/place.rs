@@ -90,11 +90,10 @@ pub struct PlacementResult {
     pub milp_refactors: u64,
     /// Branch-and-bound nodes across all MILP solves.
     pub milp_nodes: u64,
-    /// Constraint rows removed by [`milp::Model::canonicalize`] across all
-    /// cut rounds (duplicate, bound-implied, and empty rows).
+    /// Constraint rows removed by MILP presolve across all solves
+    /// (duplicate, bound-implied, empty, and singleton rows).
     pub milp_rows_dropped: u64,
-    /// Gomory + cover cutting planes added at root nodes across all MILP
-    /// solves.
+    /// Gomory cutting planes added at root nodes across all MILP solves.
     pub milp_cuts: u64,
     /// Root cut-separation rounds consumed (distinct from the lazy
     /// clock-period `cut_rounds` above, which rebuild the model).
@@ -330,10 +329,10 @@ fn build_model(
 }
 
 /// Builds the seed placement MILP — the model the first cut round solves
-/// (correctness cuts + fixed-state clock-period cuts), *without*
-/// canonicalization or the lazy cut loop. Public for the engine-equivalence
-/// tests (`tests/milp_equivalence.rs`), which need the real Eq. 3 models
-/// rather than synthetic LPs.
+/// (correctness cuts + fixed-state clock-period cuts), *without* the lazy
+/// cut loop. Public for the engine-equivalence tests
+/// (`tests/milp_equivalence.rs`), which need the real Eq. 3 models rather
+/// than synthetic LPs.
 ///
 /// # Errors
 ///
@@ -355,22 +354,6 @@ pub fn place_buffers(p: &PlacementProblem<'_>) -> Result<PlacementResult, PlaceE
     place_buffers_warm(p, None)
 }
 
-/// [`place_buffers`] with an optional cross-solve warm-start store.
-///
-/// When `store` is given, each MILP solve looks up the previous solve of
-/// the same *problem* ([`warm_key`] — the iteration-stable identity of the
-/// kernel, not the churning model shape), remaps its root basis and
-/// incumbent onto the current model by variable name
-/// ([`milp::WarmStart::remap_to`]), and starts from them; afterwards it
-/// records its own. The Fig.-4 loop passes one store across all
-/// iterations, so iteration *i+1*'s placement solve warm-starts from
-/// iteration *i*'s (and lazy cut rounds within one call warm-start from
-/// each other). Warm starts are revalidated by the solver and never
-/// change the returned placement — only the work spent finding it.
-///
-/// # Errors
-///
-/// Same as [`place_buffers`].
 /// Key for the cross-iteration warm-start store: an FNV-1a fingerprint of
 /// the *iteration-stable* identity of the placement problem. The Fig.-4
 /// loop re-solves the same kernel with drifting penalties, fixed sets,
@@ -410,6 +393,23 @@ fn warm_key(p: &PlacementProblem<'_>) -> u64 {
     h
 }
 
+/// [`place_buffers`] with an optional cross-solve warm-start store.
+///
+/// When `store` is given, each MILP solve looks up the previous solve of
+/// the same *problem* (keyed on the iteration-stable identity of the
+/// kernel, not the churning model shape), remaps its root basis and
+/// incumbent onto the current model by variable name
+/// ([`milp::WarmStart::remap_to`]), and starts from them; afterwards it
+/// records its own. The Fig.-4 loop passes one store across all
+/// iterations, so iteration *i+1*'s placement solve warm-starts from
+/// iteration *i*'s (and lazy cut rounds within one call warm-start from
+/// each other). Warm starts are revalidated by the solver, but they move
+/// where a truncated search stops, so they can change the returned
+/// placement.
+///
+/// # Errors
+///
+/// Same as [`place_buffers`].
 pub fn place_buffers_warm(
     p: &PlacementProblem<'_>,
     store: Option<&milp::MilpWarmStore>,
@@ -440,16 +440,11 @@ pub fn place_buffers_warm(
     let key = store.map(|s| (s, warm_key(p)));
     loop {
         let BuiltModel {
-            mut model,
+            model,
             rvar,
             phis,
             candidates,
         } = build_model(p, &fixed, &cuts)?;
-        // Presolve: cut rounds re-derive overlapping covering cuts and
-        // fixed channels (lo = 1) satisfy covering rows outright, so the
-        // model shrinks measurably before the solver sees it.
-        let reduction = model.canonicalize();
-        milp_rows_dropped += reduction.dropped() as u64;
 
         // Exact solve with a bounded tree (warm-started from the store when
         // a previous solve of the same shape exists); on exhaustion fall
@@ -488,6 +483,7 @@ pub fn place_buffers_warm(
         milp_pivots += sol.pivots;
         milp_refactors += sol.refactors;
         milp_nodes += sol.nodes;
+        milp_rows_dropped += sol.presolve.rows_dropped as u64;
         milp_cuts += sol.cuts;
         milp_cut_rounds += sol.cut_rounds;
         milp_nodes_pruned += sol.nodes_pruned;
@@ -683,47 +679,14 @@ mod tests {
     }
 
     #[test]
-    fn placement_models_shrink_under_canonicalization() {
-        // The real Eq. 3 model carries covering rows already satisfied by
-        // the fixed back-edge buffers (lo = 1), so canonicalization must
-        // remove rows — the presolve is not a no-op on our own models.
-        let k = kernels::gsum(16);
-        let g = k.seeded_graph();
-        let synth = synthesize(&g, 6).unwrap();
-        let map = map_lut_edges(&g, &synth);
-        let timing = TimingGraph::build(&g, &synth, &map);
-        let penalties = compute_penalties(&g, &timing);
-        let cfdfcs = crate::cfdfc::extract_cfdfcs(k.graph(), k.back_edges(), 8, 100_000);
-        let problem = PlacementProblem {
-            graph: k.graph(),
-            timing: &timing,
-            penalties: &penalties,
-            cfdfcs: &cfdfcs,
-            target_levels: 6,
-            fixed: k.back_edges(),
-            alpha: 1.0,
-            beta: 0.01,
-            max_cut_rounds: 16,
-            objective: Default::default(),
-        };
-        let mut model = build_placement_model(&problem).unwrap();
-        let before = model.num_constraints();
-        let red = model.canonicalize();
-        assert_eq!(red.original, before);
-        assert!(
-            red.dropped() > 0,
-            "expected the gsum placement model to shrink, got {red:?}"
-        );
-        assert!(red.remaining < before);
-        // And the reduced model must still solve.
-        assert!(model.solve().is_ok());
-    }
-
-    #[test]
     fn placement_reports_milp_counters() {
         let (_, r) = solve_kernel("gsum", 6);
         assert!(r.milp_pivots > 0, "no pivots recorded");
         assert!(r.milp_nodes > 0, "no nodes recorded");
+        // The real Eq. 3 model carries covering rows already satisfied by
+        // the fixed back-edge buffers (lo = 1), so presolve must remove
+        // rows: it is not a no-op on our own models.
+        assert!(r.milp_rows_dropped > 0, "presolve dropped no rows");
     }
 
     #[test]

@@ -33,14 +33,6 @@ impl Default for SynthOptions {
 }
 
 impl SynthOptions {
-    /// Default options with the given K.
-    pub fn with_k(k: usize) -> Self {
-        SynthOptions {
-            k,
-            ..Self::default()
-        }
-    }
-
     fn map_options(&self) -> MapOptions {
         MapOptions {
             k: self.k,
@@ -86,15 +78,10 @@ impl Synthesis {
 /// buffer — callers must seed loop back edges first (Figure 4) — and
 /// [`MapError::Elaborate`] if the graph has dangling ports.
 pub fn synthesize(g: &Graph, k: usize) -> Result<Synthesis, MapError> {
-    synthesize_opts(g, &SynthOptions::with_k(k))
-}
-
-/// [`synthesize`] with explicit [`SynthOptions`] (job count included).
-///
-/// # Errors
-///
-/// Same contract as [`synthesize`].
-pub fn synthesize_opts(g: &Graph, opts: &SynthOptions) -> Result<Synthesis, MapError> {
+    let opts = SynthOptions {
+        k,
+        ..SynthOptions::default()
+    };
     let mut nl = elaborate(g)?.netlist;
     let opt_stats = nl.optimize();
     let luts = map_netlist(&nl, &opts.map_options())?;
@@ -118,7 +105,7 @@ struct SynthEntry {
 ///
 /// Beyond the [`Synthesis`] itself, the handle retains the run's FlowMap
 /// labels, so it can serve as the *basis* of a later
-/// [`SynthCache::synthesize_with_basis`] call: gates the new netlist
+/// [`SynthCache::synthesize_with_basis_opts`] call: gates the new netlist
 /// shares with this one skip the per-gate max-flow labeling.
 #[derive(Debug, Clone)]
 pub struct SynthHandle(Arc<SynthEntry>);
@@ -130,7 +117,7 @@ impl SynthHandle {
     }
 }
 
-/// What one [`SynthCache::synthesize_with_basis`] call actually did.
+/// What one [`SynthCache::synthesize_with_basis_opts`] call actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthDelta {
     /// Served from the cache — nothing was recomputed.
@@ -241,47 +228,23 @@ impl SynthCache {
     ///
     /// Same contract as [`synthesize`]; errors are not cached.
     pub fn synthesize(&self, g: &Graph, k: usize) -> Result<Arc<Synthesis>, MapError> {
-        self.synthesize_with_basis(g, k, None)
+        let opts = SynthOptions {
+            k,
+            ..SynthOptions::default()
+        };
+        self.synthesize_with_basis_opts(g, &opts, None)
             .map(|(h, _)| h.0.synthesis.clone())
     }
 
-    /// [`SynthCache::synthesize`] with explicit [`SynthOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`synthesize`]; errors are not cached.
-    pub fn synthesize_opts(
-        &self,
-        g: &Graph,
-        opts: &SynthOptions,
-    ) -> Result<Arc<Synthesis>, MapError> {
-        self.synthesize_with_basis_opts(g, opts, None)
-            .map(|(h, _)| h.0.synthesis.clone())
-    }
-
-    /// Like [`SynthCache::synthesize`], but on a miss reuses per-gate
-    /// FlowMap labels from `basis` wherever the new optimized netlist is
-    /// structurally identical to the basis netlist. The result is
-    /// bit-identical to a full synthesis; only the work differs. A basis
-    /// computed with a different K is ignored (labels depend on K), as is
-    /// every basis when the cache was built with
-    /// [`SynthCache::forced_full`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`synthesize`]; errors are not cached.
-    pub fn synthesize_with_basis(
-        &self,
-        g: &Graph,
-        k: usize,
-        basis: Option<&SynthHandle>,
-    ) -> Result<(SynthHandle, SynthDelta), MapError> {
-        self.synthesize_with_basis_opts(g, &SynthOptions::with_k(k), basis)
-    }
-
-    /// [`SynthCache::synthesize_with_basis`] with explicit
-    /// [`SynthOptions`]. The cache key remains `(fingerprint, K)` — the
-    /// job count cannot change any result, only how fast it is produced.
+    /// Like [`SynthCache::synthesize`], but with explicit [`SynthOptions`],
+    /// and on a miss reuses per-gate FlowMap labels from `basis` wherever
+    /// the new optimized netlist is structurally identical to the basis
+    /// netlist. The result is bit-identical to a full synthesis; only the
+    /// work differs. A basis computed with a different K is ignored (labels
+    /// depend on K), as is every basis when the cache was built with
+    /// [`SynthCache::forced_full`]. The cache key remains
+    /// `(fingerprint, K)` — the job count cannot change any result, only
+    /// how fast it is produced.
     ///
     /// # Errors
     ///
@@ -405,17 +368,22 @@ mod tests {
             .unwrap();
         g2.set_buffer(extra, BufferSpec::FULL);
 
+        let o6 = SynthOptions::default();
         let cache = SynthCache::new();
-        let (base, d0) = cache.synthesize_with_basis(&g, 6, None).unwrap();
+        let (base, d0) = cache.synthesize_with_basis_opts(&g, &o6, None).unwrap();
         assert!(!d0.cache_hit && !d0.incremental);
         assert!(d0.labels_reused == 0 && d0.labels_computed > 0);
-        let (incr, d1) = cache.synthesize_with_basis(&g2, 6, Some(&base)).unwrap();
+        let (incr, d1) = cache
+            .synthesize_with_basis_opts(&g2, &o6, Some(&base))
+            .unwrap();
         assert!(d1.incremental, "basis must be honoured");
         assert!(d1.labels_reused > 0, "overlapping cones must be reused");
         assert!(d1.matched_gates > 0);
 
         let full = SynthCache::forced_full();
-        let (fref, d2) = full.synthesize_with_basis(&g2, 6, Some(&base)).unwrap();
+        let (fref, d2) = full
+            .synthesize_with_basis_opts(&g2, &o6, Some(&base))
+            .unwrap();
         assert!(!d2.incremental, "forced-full must ignore the basis");
         let (a, b) = (incr.synthesis(), fref.synthesis());
         assert_eq!(a.logic_levels(), b.logic_levels());
@@ -435,8 +403,12 @@ mod tests {
         let kern = kernels::gsum(8);
         let g = kern.seeded_graph();
         let cache = SynthCache::new();
-        let (base, _) = cache.synthesize_with_basis(&g, 6, None).unwrap();
-        let (_, d) = cache.synthesize_with_basis(&g, 4, Some(&base)).unwrap();
+        let o6 = SynthOptions::default();
+        let o4 = SynthOptions { k: 4, ..o6 };
+        let (base, _) = cache.synthesize_with_basis_opts(&g, &o6, None).unwrap();
+        let (_, d) = cache
+            .synthesize_with_basis_opts(&g, &o4, Some(&base))
+            .unwrap();
         assert!(!d.incremental, "K mismatch must fall back to full");
         assert_eq!(d.labels_reused, 0);
     }

@@ -44,9 +44,9 @@ pub struct FlowTrace {
     pub milp_refactors: u64,
     /// Branch-and-bound nodes explored by the placement MILPs.
     pub milp_nodes: u64,
-    /// Constraint rows removed by model canonicalization before solving.
+    /// Constraint rows removed by MILP presolve.
     pub milp_rows_dropped: u64,
-    /// Gomory + cover cuts added at MILP root nodes.
+    /// Gomory cuts added at MILP root nodes.
     pub milp_cuts: u64,
     /// Root cut-separation rounds consumed by the MILP solver (distinct
     /// from the lazy clock-period `cut_rounds`, which rebuild the model).

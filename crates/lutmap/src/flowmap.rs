@@ -182,7 +182,7 @@ impl Labeling {
     }
 }
 
-/// Labeling reuse statistics of one [`compute_labels_seeded`] run.
+/// Labeling reuse statistics of one [`map_netlist_with_seed`](crate::map_netlist_with_seed) run.
 ///
 /// Every field is a pure function of the input netlist/seed pair — the
 /// counts are bit-identical at any job count.

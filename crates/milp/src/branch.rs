@@ -3,11 +3,11 @@
 //!
 //! The root LP is solved first (optionally warm-started from a previous
 //! solve via [`crate::warm::WarmStart`]), then strengthened by a
-//! round-limited loop of Gomory mixed-integer and knapsack cover cuts
-//! ([`crate::cuts`]), each round re-solved from the previous round's basis
-//! (the appended cut row extends the system strictly at the end, so the
-//! basis carries over with one warm phase-1 step). Branch & bound then
-//! runs on the cut-augmented model.
+//! round-limited loop of Gomory mixed-integer cuts ([`crate::cuts`]), each
+//! round re-solved from the previous round's basis (the appended cut row
+//! extends the system strictly at the end, so the basis carries over with
+//! one warm phase-1 step). Branch & bound then runs on the cut-augmented
+//! model.
 //!
 //! # Best-first search
 //!
@@ -550,15 +550,13 @@ pub(crate) fn branch_and_bound(
             if !fractional {
                 break;
             }
-            let mut batch = std::mem::take(&mut pending_gmi);
-            batch.extend(crate::cuts::cover_cuts(&work_model, &root_lp.values));
-            let batch = crate::cuts::dedup_cuts(batch, &work_model);
+            let batch = crate::cuts::dedup_cuts(std::mem::take(&mut pending_gmi), &work_model);
             if batch.is_empty() {
                 break;
             }
             // Quality gate: keep only the round budget of deepest,
             // mutually diverse cuts instead of appending everything the
-            // separators produced — the next round can re-separate a
+            // separator produced — the next round can re-separate a
             // better variant of a rejected cut from the moved root point
             // if one exists.
             let batch = crate::cuts::select_cuts(batch, &root_lp.values, work_model.vars.len());

@@ -1,130 +1,24 @@
-//! Root-node cutting planes: knapsack cover separation, quality scoring
-//! ([`select_cuts`]), deterministic deduplication, and the diagnostic
-//! [`separate_root_cuts`] entry point.
+//! Root-node cutting planes: quality scoring ([`select_cuts`]),
+//! deterministic deduplication, and the diagnostic [`separate_root_cuts`]
+//! entry point.
 //!
-//! Two families are generated at the root LP optimum (sparse engine only):
+//! The cuts are **Gomory mixed-integer cuts**, generated at the root LP
+//! optimum (sparse engine only). They are derived from the optimal simplex
+//! tableau inside [`crate::simplex`] (they need `B⁻¹A` rows) and handed
+//! back through the solve call.
 //!
-//! * **Gomory mixed-integer cuts** — derived from the optimal simplex
-//!   tableau inside [`crate::simplex`] (they need `B⁻¹A` rows) and handed
-//!   back through the solve call;
-//! * **knapsack cover cuts** — separated here from the model rows and the
-//!   root LP point alone: for a `≤` row over binary variables (negative
-//!   coefficients complemented away), a greedy cover `C` with
-//!   `Σ_C w_j > b` yields `Σ_C y_j ≤ |C| − 1`.
-//!
-//! Both families only ever *remove fractional LP points*: every
-//! integer-feasible assignment of the original model satisfies every cut,
-//! which is what the cut-validity proptests pin down. Separation is
-//! deterministic — rows in index order, greedy ties broken on the variable
-//! index, duplicates collapsed with the same bit-exact keys as
-//! [`Model::canonicalize`](crate::Model::canonicalize) — so cut lists are
-//! a pure function of the model.
+//! A cut only ever *removes fractional LP points*: every integer-feasible
+//! assignment of the original model satisfies every cut, which is what the
+//! cut-validity proptests pin down. Duplicates collapse on the same
+//! bit-exact keys as `Model::canonicalize`, so cut lists are a pure
+//! function of the model.
 
-use crate::model::{Cmp, Constraint, Model, SolveError, VarId};
+use crate::model::{Cmp, Constraint, Model, SolveError};
 use crate::simplex::{solve_lp_warm_gmi, BoundOverrides, MAX_SIMPLEX_ITERS};
 use std::collections::BTreeSet;
 
-/// Minimum violation of the root point for a cover cut to be emitted.
-const COVER_VIOLATION_TOL: f64 = 1e-6;
-
-/// Separates knapsack cover cuts from `model`'s rows at the LP point
-/// `values`. Only `≤` rows whose every term is a binary variable
-/// participate; rows are scanned in index order and each row contributes
-/// at most one (greedy) cover.
-pub(crate) fn cover_cuts(model: &Model, values: &[f64]) -> Vec<Constraint> {
-    let is_binary = |v: usize| {
-        let d = &model.vars[v];
-        d.integer && d.lo == 0.0 && d.hi == 1.0
-    };
-    let mut cuts = Vec::new();
-    for c in &model.constraints {
-        if c.op != Cmp::Le || c.terms.len() < 2 {
-            continue;
-        }
-        if !c
-            .terms
-            .iter()
-            .all(|&(v, a)| a != 0.0 && is_binary(v.index()))
-        {
-            continue;
-        }
-        // Complement negative coefficients (y = 1 − x) so every weight is
-        // positive: Σ a⁺x + Σ (−a⁻)(1−x) ≤ b − Σ a⁻ = b'.
-        let b_c: f64 = c.rhs - c.terms.iter().map(|t| t.1.min(0.0)).sum::<f64>();
-        if b_c <= 0.0 {
-            continue;
-        }
-        // Items: (variable, weight, y-value at the root, complemented?).
-        let items: Vec<(usize, f64, f64, bool)> = c
-            .terms
-            .iter()
-            .map(|&(v, a)| {
-                let x = values[v.index()].clamp(0.0, 1.0);
-                if a > 0.0 {
-                    (v.index(), a, x, false)
-                } else {
-                    (v.index(), -a, 1.0 - x, true)
-                }
-            })
-            .collect();
-        let total: f64 = items.iter().map(|i| i.1).sum();
-        if total <= b_c + 1e-9 {
-            continue; // no cover exists
-        }
-        // Greedy cover: take items in ascending (1 − y)/w — the ones the
-        // LP point uses most aggressively first — until the weight budget
-        // overflows. Ties break on the variable index.
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_by(|&i, &j| {
-            let ri = (1.0 - items[i].2) / items[i].1;
-            let rj = (1.0 - items[j].2) / items[j].1;
-            ri.total_cmp(&rj).then(items[i].0.cmp(&items[j].0))
-        });
-        let mut cover: Vec<usize> = Vec::new();
-        let mut w_sum = 0.0;
-        for &i in &order {
-            cover.push(i);
-            w_sum += items[i].1;
-            if w_sum > b_c + 1e-9 {
-                break;
-            }
-        }
-        if w_sum <= b_c + 1e-9 {
-            continue;
-        }
-        // Cover inequality Σ_C y ≤ |C| − 1; check violation at the root.
-        let y_sum: f64 = cover.iter().map(|&i| items[i].2).sum();
-        let cap = cover.len() as f64 - 1.0;
-        if y_sum <= cap + COVER_VIOLATION_TOL {
-            continue;
-        }
-        // Translate back: y = x keeps (v, +1); y = 1 − x becomes (v, −1)
-        // with the constant folded into the rhs.
-        cover.sort_by_key(|&i| items[i].0);
-        let mut rhs = cap;
-        let terms: Vec<(VarId, f64)> = cover
-            .iter()
-            .map(|&i| {
-                let (v, _, _, comp) = items[i];
-                if comp {
-                    rhs -= 1.0;
-                    (VarId(v), -1.0)
-                } else {
-                    (VarId(v), 1.0)
-                }
-            })
-            .collect();
-        cuts.push(Constraint {
-            terms,
-            op: Cmp::Le,
-            rhs,
-        });
-    }
-    cuts
-}
-
 /// Bit-exact identity of a row (same key scheme as
-/// [`Model::canonicalize`]): sorted terms with coefficient bits, plus the
+/// `Model::canonicalize`): sorted terms with coefficient bits, plus the
 /// operator.
 fn row_key(c: &Constraint) -> (Vec<(usize, u64)>, u8) {
     let mut terms: Vec<(usize, u64)> = c
@@ -248,7 +142,7 @@ fn dir_dot(a: &[(usize, f64)], b: &[(usize, f64)]) -> f64 {
 /// the cut-validity test suite).
 #[derive(Debug, Clone)]
 pub struct RootCutReport {
-    /// The deduplicated cuts, in generation order (GMI first, then covers).
+    /// The deduplicated cuts, in generation order.
     pub cuts: Vec<Constraint>,
     /// The root LP relaxation point the cuts were separated from.
     pub root_values: Vec<f64>,
@@ -257,7 +151,7 @@ pub struct RootCutReport {
 }
 
 /// Solves `model`'s root LP relaxation with the sparse engine and runs one
-/// round of Gomory + cover separation against the optimum, without
+/// round of Gomory separation against the optimum, without
 /// mutating the model or entering branch & bound. Every returned cut is
 /// violated by `root_values`; none excludes any integer-feasible point —
 /// the two properties the proptest suite checks directly.
@@ -273,9 +167,7 @@ pub fn separate_root_cuts(model: &Model) -> Result<RootCutReport, SolveError> {
     if lp.truncated {
         return Err(SolveError::NodeLimit);
     }
-    let mut cuts = gmi;
-    cuts.extend(cover_cuts(model, &lp.values));
-    let cuts = dedup_cuts(cuts, model);
+    let cuts = dedup_cuts(gmi, model);
     Ok(RootCutReport {
         cuts,
         root_values: lp.values,
@@ -287,50 +179,6 @@ pub fn separate_root_cuts(model: &Model) -> Result<RootCutReport, SolveError> {
 mod tests {
     use super::*;
     use crate::model::Sense;
-
-    #[test]
-    fn cover_cut_separates_a_fractional_knapsack_point() {
-        // max 4x0+5x1+6x2 st 3x0+4x1+5x2 <= 6: the LP optimum is
-        // (1, 0.75, 0) — fractional — and a cut must separate it.
-        let mut m = Model::new(Sense::Maximize);
-        let items: Vec<VarId> = [4.0, 5.0, 6.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| m.add_binary(format!("i{i}"), v))
-            .collect();
-        let weights = [3.0, 4.0, 5.0];
-        m.add_constraint(
-            items.iter().zip(weights).map(|(&v, w)| (v, w)).collect(),
-            Cmp::Le,
-            6.0,
-        );
-        let rep = separate_root_cuts(&m).expect("root LP solves");
-        assert!(!rep.cuts.is_empty(), "expected at least one cut");
-        // Each cut is violated at the root point…
-        for c in &rep.cuts {
-            let act: f64 = c
-                .terms
-                .iter()
-                .map(|&(v, a)| a * rep.root_values[v.index()])
-                .sum();
-            match c.op {
-                Cmp::Le => assert!(act > c.rhs + 1e-7, "cut not violated"),
-                Cmp::Ge => assert!(act < c.rhs - 1e-7, "cut not violated"),
-                Cmp::Eq => panic!("unexpected equality cut"),
-            }
-        }
-        // …and none cuts off the integer optimum (item 2 alone).
-        let opt = [0.0, 0.0, 1.0];
-        for c in &rep.cuts {
-            let act: f64 = c.terms.iter().map(|&(v, a)| a * opt[v.index()]).sum();
-            let ok = match c.op {
-                Cmp::Le => act <= c.rhs + 1e-7,
-                Cmp::Ge => act >= c.rhs - 1e-7,
-                Cmp::Eq => (act - c.rhs).abs() <= 1e-7,
-            };
-            assert!(ok, "cut excludes the integer optimum: {c:?}");
-        }
-    }
 
     #[test]
     fn dedup_drops_cuts_already_in_the_model() {

@@ -9,7 +9,7 @@
 //! * deterministic, optionally parallel branch & bound over
 //!   integer/binary variables with incumbent pruning and warm-started
 //!   node bases ([`Model::set_jobs`]),
-//! * constraint-row canonicalization ([`Model::canonicalize`]).
+//! * root strengthening: a presolve pass and Gomory mixed-integer cuts.
 //!
 //! # The sparse revised simplex
 //!
@@ -52,20 +52,20 @@
 //! # Root strengthening: presolve and cutting planes
 //!
 //! Before any simplex work, [`Model::solve`] runs a **presolve** pass
-//! (bound tightening from row activities, singleton-row substitution,
-//! Savelsbergh coefficient reduction — see the `presolve` module) that
-//! shrinks the model while preserving its mixed-integer optimum; the
-//! reductions are reported in [`Solution::presolve`]. At the root LP
-//! optimum, a round-limited loop separates **Gomory mixed-integer cuts**
-//! (from the optimal tableau) and **knapsack cover cuts** (from the
-//! rows), re-solving each round from the previous round's basis
-//! ([`Model::set_cut_rounds`]). Separated cuts pass a **quality scorer**
-//! before admission — ranked by efficacy (violation over coefficient
-//! norm), penalized for near-parallelism to already-selected cuts,
-//! preferring sparser rows, under a fixed per-round budget. Both layers
-//! can be disabled ([`Model::set_presolve`]) to recover the raw model as
-//! an oracle; the dense engine never generates cuts and serves the same
-//! role.
+//! (row canonicalization: merged terms, dropped empty, bound-implied and
+//! duplicate rows; bound tightening from row activities, singleton-row
+//! substitution, Savelsbergh coefficient reduction — see the `presolve`
+//! module) that shrinks the model while preserving its mixed-integer
+//! optimum; the reductions are reported in [`Solution::presolve`]. At the
+//! root LP optimum, a round-limited loop separates **Gomory mixed-integer
+//! cuts** from the optimal tableau, re-solving each round from the
+//! previous round's basis ([`Model::set_cut_rounds`]). Separated cuts pass
+//! a **quality scorer** before admission — ranked by efficacy (violation
+//! over coefficient norm), penalized for near-parallelism to
+//! already-selected cuts, preferring sparser rows, under a fixed per-round
+//! budget. Both layers can be disabled ([`Model::set_presolve`],
+//! [`Model::set_cut_rounds`]) to recover the raw model as an oracle; the
+//! dense engine never generates cuts and serves the same role.
 //!
 //! # Deterministic parallel best-first branch & bound
 //!
@@ -144,9 +144,7 @@ mod simplex;
 mod warm;
 
 pub use cuts::{separate_root_cuts, RootCutReport};
-pub use model::{
-    Cmp, Constraint, Engine, Model, RowReduction, Sense, Solution, SolveError, Status, VarId,
-};
+pub use model::{Cmp, Constraint, Engine, Model, Sense, Solution, SolveError, Status, VarId};
 pub use presolve::PresolveReport;
 pub use simplex::WarmBasis;
 pub use warm::{MilpWarmStore, WarmStart};

@@ -37,11 +37,11 @@ pub enum Cmp {
 /// LP engine backing [`Model::solve`] and [`Model::solve_relaxation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Legacy dense two-phase tableau ([`crate::dense`]): every pivot
+    /// Legacy dense two-phase tableau (the `dense` module): every pivot
     /// rewrites the full tableau. Kept as the measured baseline and the
     /// oracle for the equivalence tests.
     DenseTableau,
-    /// Sparse revised simplex ([`crate::simplex`]): CSC matrix,
+    /// Sparse revised simplex (the `simplex` module): CSC matrix,
     /// product-form eta-file basis inverse with periodic refactorization,
     /// warm-started branch-and-bound nodes. The default.
     #[default]
@@ -101,8 +101,8 @@ pub struct Solution {
     /// (or an LP phase) finished: the solution is feasible but `objective`
     /// may be short of the true optimum.
     pub truncated: bool,
-    /// Cutting planes (Gomory mixed-integer + knapsack cover) added at the
-    /// root ([`Engine::SparseRevised`] only).
+    /// Gomory mixed-integer cuts added at the root
+    /// ([`Engine::SparseRevised`] only).
     pub cuts: u64,
     /// Root cut-separation rounds that added at least one cut.
     pub cut_rounds: u64,
@@ -199,24 +199,20 @@ impl std::error::Error for SolveError {}
 
 /// What [`Model::canonicalize`] removed, row by row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RowReduction {
-    /// Constraint rows before canonicalization.
-    pub original: usize,
+pub(crate) struct RowReduction {
     /// Trivially-satisfied rows with no (surviving) terms.
-    pub zero: usize,
+    pub(crate) zero: usize,
     /// Rows implied by the variable bounds alone (activity bound already
     /// meets the rhs).
-    pub redundant: usize,
+    pub(crate) redundant: usize,
     /// Rows with the same terms and operator as an earlier row (the
     /// survivor keeps the tightest rhs).
-    pub duplicate: usize,
-    /// Constraint rows after canonicalization.
-    pub remaining: usize,
+    pub(crate) duplicate: usize,
 }
 
 impl RowReduction {
     /// Total rows removed.
-    pub fn dropped(&self) -> usize {
+    pub(crate) fn dropped(&self) -> usize {
         self.zero + self.redundant + self.duplicate
     }
 }
@@ -297,16 +293,6 @@ impl Model {
         self.constraints.push(Constraint { terms, op, rhs });
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Sets the absolute optimality gap: branch-and-bound prunes any node
     /// whose LP bound does not beat the incumbent by more than `gap`
     /// (default 1e-9 ⇒ exact). A small positive gap collapses search trees
@@ -376,7 +362,7 @@ impl Model {
     }
 
     /// Canonicalizes the constraint rows in place and reports what was
-    /// removed:
+    /// removed — the first step of every presolve round:
     ///
     /// * duplicate terms within a row are merged (and zero coefficients
     ///   dropped), terms sorted by variable;
@@ -392,12 +378,9 @@ impl Model {
     /// The buffer placer's covering-cut models shrink measurably: repeated
     /// cut rounds re-derive overlapping cuts, and channels fixed at 1 make
     /// whole covering rows redundant.
-    pub fn canonicalize(&mut self) -> RowReduction {
+    pub(crate) fn canonicalize(&mut self) -> RowReduction {
         const TOL: f64 = 1e-9;
-        let mut red = RowReduction {
-            original: self.constraints.len(),
-            ..RowReduction::default()
-        };
+        let mut red = RowReduction::default();
         // Key: (sorted term list with bit-exact coefficients, operator).
         let mut seen: BTreeMap<(Vec<(usize, u64)>, u8), usize> = BTreeMap::new();
         let mut kept: Vec<Constraint> = Vec::with_capacity(self.constraints.len());
@@ -516,7 +499,6 @@ impl Model {
                 }
             }
         }
-        red.remaining = kept.len();
         self.constraints = kept;
         red
     }
@@ -731,8 +713,8 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0, false);
         // x + x <= 4 must behave as 2x <= 4 after canonicalization.
         m.add_constraint(vec![(x, 1.0), (x, 1.0)], Cmp::Le, 4.0);
-        let red = m.canonicalize();
-        assert_eq!(red.remaining, 1);
+        m.canonicalize();
+        assert_eq!(m.constraints.len(), 1);
         assert_eq!(m.constraints[0].terms, vec![(x, 2.0)]);
         let sol = m.solve().unwrap();
         assert!((sol.value(x) - 2.0).abs() < 1e-6);
@@ -749,10 +731,9 @@ mod tests {
         m.add_constraint(vec![(y, 1.0), (x, 1.0)], Cmp::Le, 4.0); // same terms, tighter
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 9.0); // same terms, looser
         let red = m.canonicalize();
-        assert_eq!(red.original, 5);
         assert_eq!(red.zero, 2);
         assert_eq!(red.duplicate, 2);
-        assert_eq!(red.remaining, 1);
+        assert_eq!(m.constraints.len(), 1);
         // The survivor keeps the tightest rhs.
         let sol = m.solve().unwrap();
         assert!((sol.objective - 4.0).abs() < 1e-6);
@@ -769,7 +750,7 @@ mod tests {
         m.add_constraint(vec![(y, 1.0)], Cmp::Ge, 1.0); // not redundant
         let red = m.canonicalize();
         assert_eq!(red.redundant, 1);
-        assert_eq!(red.remaining, 1);
+        assert_eq!(m.constraints.len(), 1);
         let sol = m.solve().unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-6);
     }
@@ -781,7 +762,7 @@ mod tests {
         m.add_constraint(vec![(x, 1.0), (x, -1.0)], Cmp::Ge, 3.0); // 0 >= 3: false
         let red = m.canonicalize();
         assert_eq!(red.zero, 0);
-        assert_eq!(red.remaining, 1);
+        assert_eq!(m.constraints.len(), 1);
         assert!(m.solve().unwrap_err().is_infeasible());
         m.set_presolve(false);
         assert_eq!(m.solve().unwrap_err(), SolveError::Infeasible);

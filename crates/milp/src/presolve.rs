@@ -11,10 +11,10 @@
 //!
 //! Rules, applied to a fixpoint (with a generous round cap):
 //!
-//! * **canonicalization** — [`Model::canonicalize`](crate::Model) runs
-//!   first in every round, so duplicate rows merge *before* the rules
-//!   below see them and rows made redundant by fresh bounds drop
-//!   immediately (this ordering is what makes the pass idempotent);
+//! * **canonicalization** — `Model::canonicalize` runs first in every
+//!   round, so duplicate rows merge *before* the rules below see them and
+//!   rows made redundant by fresh bounds drop immediately (this ordering
+//!   is what makes the pass idempotent);
 //! * **integer bound rounding** — fractional bounds on integer variables
 //!   pull to the nearest contained integer;
 //! * **singleton rows** — `a·x (≤|≥|=) b` becomes a bound update and the
@@ -71,19 +71,6 @@ pub struct PresolveReport {
     pub coeffs_reduced: usize,
     /// Fixpoint rounds executed.
     pub rounds: usize,
-}
-
-impl PresolveReport {
-    /// Sums `other` into `self` (aggregation across cut rounds / solves).
-    pub fn absorb(&mut self, other: &PresolveReport) {
-        self.rows_before += other.rows_before;
-        self.rows_after += other.rows_after;
-        self.rows_dropped += other.rows_dropped;
-        self.singleton_rows += other.singleton_rows;
-        self.bounds_tightened += other.bounds_tightened;
-        self.coeffs_reduced += other.coeffs_reduced;
-        self.rounds += other.rounds;
-    }
 }
 
 /// Is `x` a binary variable under the current (possibly tightened) bounds?
@@ -467,7 +454,7 @@ mod tests {
         m.add_constraint(vec![(x, 2.0)], Cmp::Le, 6.0);
         let rep = m.presolve().unwrap();
         assert_eq!(rep.singleton_rows, 1);
-        assert_eq!(m.num_constraints(), 0);
+        assert_eq!(m.constraints.len(), 0);
         assert_eq!(m.vars[0].hi, 3.0);
         let sol = m.solve().unwrap();
         assert!((sol.value(x) - 3.0).abs() < 1e-6);

@@ -186,11 +186,6 @@ impl MilpWarmStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all entries (counters keep accumulating).
-    pub fn clear(&self) {
-        self.entries.lock().expect("warm store poisoned").clear();
-    }
 }
 
 #[cfg(test)]

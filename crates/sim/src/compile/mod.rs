@@ -17,7 +17,7 @@
 //!   re-flattening the graph.
 //!
 //! Semantics are *defined* by the interpreter: every evaluation and
-//! commit function here mirrors [`crate::eval`]/[`crate::commit`]
+//! commit function here mirrors the interpreter's `eval`/`commit` modules
 //! statement for statement, and `tests/sim_equivalence.rs` pins the
 //! bit-identity (same `RunStats`, per-channel counters, per-cycle
 //! handshake view, memory images, error variants, and error precedence)

@@ -78,11 +78,48 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// What `frequenz run` was asked for after the kernel name.
+struct RunArgs<'a> {
+    opts: FlowOptions,
+    flow: &'a str,
+    vcd: Option<&'a str>,
+}
+
+/// Reads `frequenz run`'s options: each is a known flag followed by its
+/// value, and the resulting [`FlowOptions`] must validate.
+///
+/// # Errors
+///
+/// An unknown flag, a flag without a value (the next argument is another
+/// flag, or there is none), a `--target`/`--lut-k` that is not an
+/// unsigned integer, a `--flow` other than `iter`/`prev`/`seed`, or
+/// options the flow would reject.
+fn parse_run_args(args: &[String]) -> Result<RunArgs<'_>, String> {
+    let mut run = RunArgs {
+        opts: FlowOptions::default(),
+        flow: "iter",
+        vcd: None,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if !["--flow", "--target", "--lut-k", "--vcd"].contains(&flag.as_str()) {
+            return Err(format!("unknown option {flag:?}"));
+        }
+        let value = match args.next() {
+            Some(v) if !v.starts_with("--") => v.as_str(),
+            _ => return Err(format!("{flag} needs a value")),
+        };
+        let number = || format!("{flag} {value:?}: not an unsigned integer");
+        match flag.as_str() {
+            "--flow" if ["iter", "prev", "seed"].contains(&value) => run.flow = value,
+            "--flow" => return Err(format!("--flow {value:?}: not one of iter, prev, seed")),
+            "--target" => run.opts.target_levels = value.parse().map_err(|_| number())?,
+            "--lut-k" => run.opts.k = value.parse().map_err(|_| number())?,
+            _ => run.vcd = Some(value), // --vcd
+        }
+    }
+    run.opts.validate().map_err(|e| e.to_string())?;
+    Ok(run)
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -93,14 +130,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         eprintln!("unknown kernel {name:?}; try `frequenz list`");
         return ExitCode::FAILURE;
     };
-    let mut opts = FlowOptions::default();
-    if let Some(t) = parse_flag(args, "--target") {
-        opts.target_levels = t.parse().unwrap_or(opts.target_levels);
-    }
-    if let Some(k) = parse_flag(args, "--lut-k") {
-        opts.k = k.parse().unwrap_or(opts.k);
-    }
-    let flow = parse_flag(args, "--flow").unwrap_or("iter");
+    let RunArgs { opts, flow, vcd } = match parse_run_args(&args[1..]) {
+        Ok(run) => run,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
+        }
+    };
 
     let result: Result<(Graph, String), Box<dyn std::error::Error>> = (|| {
         Ok(match flow {
@@ -134,10 +170,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let vcd_path = parse_flag(args, "--vcd");
     let budget = kernel.max_cycles * 8;
     let run = |sim: &mut Simulator<'_>| -> Result<u64, Box<dyn std::error::Error>> {
-        if let Some(path) = vcd_path {
+        if let Some(path) = vcd {
             let file = std::fs::File::create(path)?;
             let mut w = std::io::BufWriter::new(file);
             let mut vcd = VcdTracer::new(&graph, &mut w)?;
@@ -172,7 +207,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     println!("simulated {cycles} cycles; outputs match the software reference");
-    if let Some(path) = vcd_path {
+    if let Some(path) = vcd {
         println!("waveforms written to {path}");
     }
 

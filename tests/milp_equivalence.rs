@@ -227,11 +227,11 @@ proptest! {
         assert_jobs_invariant(&mut m)?;
     }
 
-    /// Cut validity (both families): every cut separated at the root LP
-    /// optimum of a random binary program must (a) be violated by the root
-    /// point that produced it and (b) hold at **every** feasible 0/1
-    /// assignment — not just the optimum — since a cut that removes any
-    /// integer point is simply wrong.
+    /// Cut validity: every cut separated at the root LP optimum of a random
+    /// binary program must (a) be violated by the root point that produced
+    /// it and (b) hold at **every** feasible 0/1 assignment — not just the
+    /// optimum — since a cut that removes any integer point is simply
+    /// wrong.
     #[test]
     fn root_cuts_never_remove_integer_points(p in binary_program()) {
         let m = to_model(&p, false);
@@ -462,8 +462,8 @@ fn dual_degenerate_resolve_does_not_cycle() {
     );
 }
 
-/// Builds the canonicalized seed placement model (the Eq. 3 model of the
-/// first cut round) for one kernel.
+/// Builds the seed placement model (the Eq. 3 model of the first cut
+/// round) for one kernel.
 fn kernel_placement_model(kernel: &hls::Kernel, opts: &FlowOptions) -> Model {
     let g = kernel.seeded_graph();
     let synth = synthesize(&g, opts.k).expect("kernel synthesizes");
@@ -488,9 +488,7 @@ fn kernel_placement_model(kernel: &hls::Kernel, opts: &FlowOptions) -> Model {
         max_cut_rounds: opts.max_cut_rounds,
         objective: opts.objective,
     };
-    let mut model = build_placement_model(&problem).expect("model builds");
-    model.canonicalize();
-    model
+    build_placement_model(&problem).expect("model builds")
 }
 
 /// Dense and sparse agree — and the jobs sweep is bit-identical — on every
