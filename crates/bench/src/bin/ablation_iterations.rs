@@ -9,7 +9,8 @@
 //! cargo run -p frequenz-bench --release --bin ablation_iterations -- [--jobs N]
 //! ```
 
-use frequenz_bench::{jobs_from_args, parallel_map, CompareError};
+use dataflow::par;
+use frequenz_bench::{jobs_from_args, CompareError};
 use frequenz_core::{optimize_iterative_with_cache, FlowOptions, SynthCache};
 
 fn main() -> Result<(), CompareError> {
@@ -25,7 +26,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| (1..=6).map(move |cap| (ki, cap)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, cap)| {
+    let cells = par::map(&combos, jobs_from_args(), |&(ki, cap)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
             max_iterations: cap,

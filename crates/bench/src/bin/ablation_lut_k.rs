@@ -8,7 +8,8 @@
 //! cargo run -p frequenz-bench --release --bin ablation_lut_k -- [--jobs N]
 //! ```
 
-use frequenz_bench::{jobs_from_args, parallel_map, CompareError};
+use dataflow::par;
+use frequenz_bench::{jobs_from_args, CompareError};
 use frequenz_core::{measure_with_cache, optimize_iterative_with_cache, FlowOptions, SynthCache};
 
 fn main() -> Result<(), CompareError> {
@@ -20,7 +21,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| [4usize, 5, 6].into_iter().map(move |lut_k| (ki, lut_k)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, lut_k)| {
+    let cells = par::map(&combos, jobs_from_args(), |&(ki, lut_k)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
             k: lut_k,

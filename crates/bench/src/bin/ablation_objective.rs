@@ -8,7 +8,8 @@
 //! cargo run -p frequenz-bench --release --bin ablation_objective -- [--jobs N]
 //! ```
 
-use frequenz_bench::{jobs_from_args, parallel_map, CompareError};
+use dataflow::par;
+use frequenz_bench::{jobs_from_args, CompareError};
 use frequenz_core::{
     measure_with_cache, optimize_iterative_with_cache, FlowOptions, Objective, SynthCache,
 };
@@ -23,7 +24,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| (0..variants.len()).map(move |vi| (ki, vi)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, vi)| {
+    let cells = par::map(&combos, jobs_from_args(), |&(ki, vi)| {
         let k = &kernels[ki];
         let (_, objective, slack) = variants[vi];
         let opts = FlowOptions {

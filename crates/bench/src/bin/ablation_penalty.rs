@@ -3,13 +3,15 @@
 //! With the penalty disabled (β weight applied uniformly — Eq. 1), the
 //! solver happily buffers channels whose source unit shares logic with its
 //! successor, forbidding cross-unit LUT packing and inflating area. This
-//! ablation quantifies that effect on a subset of kernels.
+//! ablation measures whether it does on a subset of kernels; the results
+//! are in EXPERIMENTS.md ("Ablations").
 //!
 //! ```sh
 //! cargo run -p frequenz-bench --release --bin ablation_penalty -- [--jobs N]
 //! ```
 
-use frequenz_bench::{jobs_from_args, parallel_map, CompareError};
+use dataflow::par;
+use frequenz_bench::{jobs_from_args, CompareError};
 use frequenz_core::{measure_with_cache, optimize_iterative_with_cache, FlowOptions, SynthCache};
 
 fn main() -> Result<(), CompareError> {
@@ -25,7 +27,7 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, bool)> = (0..kernels.len())
         .flat_map(|ki| [true, false].into_iter().map(move |on| (ki, on)))
         .collect();
-    let cells = parallel_map(&combos, jobs_from_args(), |&(ki, on)| {
+    let cells = par::map(&combos, jobs_from_args(), |&(ki, on)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
             use_penalties: on,

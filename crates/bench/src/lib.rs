@@ -1,8 +1,8 @@
 //! Benchmark harness: the shared Prev-vs-Iter comparison runner and the
-//! `--jobs` parser used by the table/figure regeneration binaries
-//! (`table1`, the ablations, `utilization`).
+//! `--jobs` parser used by the table regeneration binaries (`table1` and
+//! the ablations; `utilization` takes a kernel name instead).
 //!
-//! Comparisons run **in parallel** across kernels ([`parallel_map`],
+//! Comparisons run **in parallel** across kernels ([`dataflow::par::map`],
 //! `--jobs N` in every binary) with a per-kernel [`SynthCache`] shared by
 //! the baseline flow, the iterative flow and the final measurements, so
 //! structurally repeated syntheses are served from memory. Row order is
@@ -14,8 +14,6 @@ use frequenz_core::{
 };
 use hls::Kernel;
 use sim::{SimEngine, Simulator};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// One row of Table I: a kernel measured under both strategies.
@@ -78,40 +76,6 @@ impl KernelComparison {
 /// Errors from a comparison run (`Send + Sync` so failures cross the
 /// parallel runner's thread boundary).
 pub type CompareError = Box<dyn std::error::Error + Send + Sync>;
-
-/// Runs `f` over `items` on up to `jobs` scoped threads, returning the
-/// results **in item order**.
-///
-/// Work is claimed dynamically (an atomic cursor), so long and short items
-/// mix freely; `jobs <= 1` degenerates to a plain sequential map, and the
-/// thread count never exceeds the item count. Panics in a worker propagate
-/// when the scope joins.
-pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(f(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every slot is filled"))
-        .collect()
-}
 
 /// Parses `--jobs N` (or `-j N`, `--jobs=N`) from the process arguments;
 /// defaults to the machine's available parallelism. A malformed or zero
@@ -262,7 +226,7 @@ pub fn compare_kernels(
     opts: &FlowOptions,
     jobs: usize,
 ) -> Result<Vec<KernelComparison>, CompareError> {
-    let results = parallel_map(kernels, jobs, |kernel| {
+    let results = dataflow::par::map(kernels, jobs, |kernel| {
         let t = Instant::now();
         let out = compare_kernel(kernel, opts);
         match &out {
@@ -283,23 +247,6 @@ pub fn compare_kernels(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let seq = parallel_map(&items, 1, |&x| x * 3);
-        let par = parallel_map(&items, 8, |&x| x * 3);
-        assert_eq!(seq, par);
-        assert_eq!(par[10], 30);
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_oversubscription() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 4, |&x| x).is_empty());
-        let one = [7u32];
-        assert_eq!(parallel_map(&one, 64, |&x| x + 1), vec![8]);
-    }
 
     fn jobs(args: &[&str]) -> Result<Option<usize>, String> {
         let args: Vec<String> = std::iter::once("table1")

@@ -32,11 +32,12 @@ pub fn characterize_units(g: &Graph, k: usize) -> HashMap<UnitId, u32> {
 }
 
 /// [`characterize_units`] with the per-signature isolated syntheses fanned
-/// out over `jobs` scoped threads. Each unique unit signature is one
-/// independent task (isolated elaboration → optimization → mapping), and
-/// results are committed in first-occurrence order, so the returned map is
-/// bit-identical at any job count. Also returns the task count — a
-/// deterministic quantity recorded as `par_unit_tasks` in the trace.
+/// out over `jobs` threads of the [`dataflow::par`] pool. Each unique unit
+/// signature is one independent task (isolated elaboration → optimization
+/// → mapping), and results are committed in first-occurrence order, so
+/// the returned map is bit-identical at any job count. Also returns the
+/// task count — a deterministic quantity recorded as `par_unit_tasks` in
+/// the trace.
 ///
 /// # Errors
 ///

@@ -11,21 +11,11 @@
 //!
 //! The paper leans on the model of Rizzi et al. [FPL'22] for "a list of
 //! all DFG nodes where domains interact"; this module derives the same
-//! list structurally from the unit kinds, and the LUT→DFG mapper uses it
-//! to resolve LUT edges that no directed path explains (Figure 3).
+//! list structurally from the unit kinds ([`is_interaction_unit`]), and
+//! the LUT→DFG mapper uses it to resolve LUT edges that no directed path
+//! explains (Figure 3).
 
-use dataflow::{Graph, OpKind, UnitId, UnitKind};
-
-/// The timing domains of Section IV-D.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Domain {
-    /// The datapath (payload bits).
-    Data,
-    /// The forward `valid` network.
-    Valid,
-    /// The backward `ready` network.
-    Ready,
-}
+use dataflow::{OpKind, UnitKind};
 
 /// `true` if `kind`'s logic mixes timing domains — condition bits steering
 /// handshakes, select tokens steering data, arrival order becoming data.
@@ -40,39 +30,9 @@ pub fn is_interaction_unit(kind: &UnitKind) -> bool {
     )
 }
 
-/// All units of `g` where timing domains interact.
-pub fn interaction_units(g: &Graph) -> Vec<UnitId> {
-    g.units()
-        .filter(|(_, u)| is_interaction_unit(u.kind()))
-        .map(|(id, _)| id)
-        .collect()
-}
-
-/// The domains whose signals a unit's logic touches.
-///
-/// Used for diagnostics and the Figure 3 walkthrough; the mapper itself
-/// only needs [`interaction_units`].
-pub fn unit_domains(kind: &UnitKind) -> Vec<Domain> {
-    match kind {
-        UnitKind::Join { .. } => vec![Domain::Valid, Domain::Ready],
-        UnitKind::Fork { .. } | UnitKind::LazyFork { .. } => {
-            vec![Domain::Valid, Domain::Ready]
-        }
-        UnitKind::Branch
-        | UnitKind::Mux { .. }
-        | UnitKind::ControlMerge { .. }
-        | UnitKind::Merge { .. } => vec![Domain::Data, Domain::Valid, Domain::Ready],
-        UnitKind::Operator(op) if op.latency() == 0 => {
-            vec![Domain::Data, Domain::Valid, Domain::Ready]
-        }
-        _ => vec![Domain::Data, Domain::Valid],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::PortRef;
 
     #[test]
     fn branches_and_muxes_interact() {
@@ -83,35 +43,5 @@ mod tests {
         assert!(!is_interaction_unit(&UnitKind::fork(2)));
         assert!(!is_interaction_unit(&UnitKind::join(2)));
         assert!(!is_interaction_unit(&UnitKind::Operator(OpKind::Add)));
-    }
-
-    #[test]
-    fn interaction_units_are_enumerated() {
-        let mut g = Graph::new("t");
-        let bb = g.add_basic_block("bb0");
-        let a = g
-            .add_unit(UnitKind::Argument { index: 0 }, "a", bb, 8)
-            .unwrap();
-        let c = g
-            .add_unit(UnitKind::Argument { index: 1 }, "c", bb, 1)
-            .unwrap();
-        let br = g.add_unit(UnitKind::Branch, "br", bb, 8).unwrap();
-        let x = g.add_unit(UnitKind::Exit, "x", bb, 8).unwrap();
-        let s = g.add_unit(UnitKind::Sink, "s", bb, 8).unwrap();
-        g.connect(PortRef::new(a, 0), PortRef::new(br, 0)).unwrap();
-        g.connect(PortRef::new(c, 0), PortRef::new(br, 1)).unwrap();
-        g.connect(PortRef::new(br, 0), PortRef::new(x, 0)).unwrap();
-        g.connect(PortRef::new(br, 1), PortRef::new(s, 0)).unwrap();
-        assert_eq!(interaction_units(&g), vec![br]);
-    }
-
-    #[test]
-    fn domain_sets_are_sensible() {
-        assert_eq!(
-            unit_domains(&UnitKind::join(2)),
-            vec![Domain::Valid, Domain::Ready]
-        );
-        assert!(unit_domains(&UnitKind::Branch).contains(&Domain::Data));
-        assert!(unit_domains(&UnitKind::Operator(OpKind::Mul)).contains(&Domain::Data));
     }
 }

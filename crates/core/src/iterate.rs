@@ -64,13 +64,15 @@ pub struct FlowOptions {
     /// of those stages is bit-identical at any job count; 0 is invalid
     /// (rejected by [`FlowOptions::validate`]). The placement MILP's
     /// branch-and-bound pool is not among them: it is sized from the CPU
-    /// mask ([`lutmap::default_jobs`]), so `jobs: 1` leaves a flow
+    /// mask ([`dataflow::par::default_jobs`]), so `jobs: 1` leaves a flow
     /// single-threaded only on a single-CPU mask.
     pub jobs: usize,
     /// Carry each iteration's optimal MILP basis and incumbent into the
     /// next iteration's solve ([`milp::MilpWarmStore`]). Warm starts are
-    /// revalidated by the solver and never change a placement — disabling
-    /// this only removes the speedup (the warm-start ablation).
+    /// revalidated by the solver. On `table1` the store moves no Table I
+    /// row and no counter but the warm hits and misses, and saves no
+    /// measurable MILP time; `tests/incremental_equivalence.rs` checks
+    /// that a flow's outcome is the same with it off.
     pub milp_warm_start: bool,
 }
 
@@ -91,7 +93,7 @@ impl Default for FlowOptions {
             slack_matching: true,
             milp_warm_start: true,
             sim_engine: sim::SimEngine::Compiled,
-            jobs: lutmap::default_jobs(),
+            jobs: dataflow::par::default_jobs(),
         }
     }
 }

@@ -49,7 +49,7 @@ pub use baseline::{
     optimize_baseline_with_cache,
 };
 pub use cfdfc::{extract_cfdfcs, extract_cfdfcs_traced, Cfdfc};
-pub use domains::{interaction_units, is_interaction_unit, Domain};
+pub use domains::is_interaction_unit;
 pub use iterate::{
     apply_buffers, optimize_iterative, optimize_iterative_with_cache, FlowError, FlowOptions,
     FlowResult, IterationRecord,

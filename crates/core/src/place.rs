@@ -263,9 +263,9 @@ fn build_model(
     model.set_work_limit(30_000);
     // Node LPs in parallel: branch-and-bound results are bit-identical at
     // any thread count, so this is purely a throughput knob. It is sized
-    // from the CPU mask (`lutmap::default_jobs`), not from
+    // from the CPU mask (`dataflow::par::default_jobs`), not from
     // `FlowOptions::jobs`, which never reaches the placer.
-    model.set_jobs(lutmap::default_jobs());
+    model.set_jobs(dataflow::par::default_jobs());
     let mut rvar: HashMap<ChannelId, VarId> = HashMap::default();
     for &c in &candidates {
         // The tiny deterministic epsilon breaks the symmetry of

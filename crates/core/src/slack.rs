@@ -11,9 +11,9 @@
 //! without violating the logic-level budget.
 //!
 //! Each round's trial simulations are independent, so they are evaluated
-//! concurrently on a scoped thread pool ([`SlackOptions::jobs`]) and the
-//! accept/reject decisions are replayed sequentially in fixed candidate
-//! order — the outcome is bit-identical at any job count, the same
+//! concurrently on the [`dataflow::par`] pool ([`SlackOptions::jobs`])
+//! and the accept/reject decisions are replayed sequentially in fixed
+//! candidate order — the outcome is bit-identical at any job count, the same
 //! discipline as the placement MILP's fixed-wave branch-and-bound. Every
 //! trial is additionally capped at the round-start incumbent cycle count:
 //! a trial that reaches the incumbent can only be rejected, so aborting it
@@ -35,11 +35,10 @@
 use crate::iterate::{apply_buffers, FlowError};
 use crate::synth::{SynthCache, SynthOptions};
 use crate::trace::{FlowTrace, SimStats};
-use dataflow::{ChannelId, Graph};
+use dataflow::{par, ChannelId, Graph};
 use sim::{CompiledSim, Program, SimEngine, SimError, Simulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Maximum buffers the pass may add.
@@ -74,7 +73,7 @@ impl Default for SlackOptions {
             sim_budget: 2_000_000,
             k: 6,
             target_levels: 6,
-            jobs: lutmap::default_jobs(),
+            jobs: par::default_jobs(),
             engine: SimEngine::Compiled,
         }
     }
@@ -233,17 +232,14 @@ fn run_trial(
     })
 }
 
-/// Runs `f` over `0..n` on up to `jobs` scoped worker threads, returning
-/// the results in index order. Work is handed out through an atomic
-/// cursor, so *scheduling* is nondeterministic but the result vector (and
-/// everything downstream of it) is not.
+/// Runs `f` over `0..n` on the [`dataflow::par`] pool (up to `jobs`
+/// threads), returning the results in index order.
 ///
 /// # Errors
 ///
-/// A panicking `f` poisons nothing: every completed result travels back
-/// over a channel, the panic is caught on the worker, and the failure
-/// reported is the one with the *lowest index* —
-/// [`FlowError::TrialPanic`] — deterministic at any job count.
+/// A panicking `f` is caught where it runs, and the failure reported is
+/// the one with the *lowest index* — [`FlowError::TrialPanic`] —
+/// deterministic at any job count.
 pub(crate) fn parallel_trials<R, F>(n: usize, jobs: usize, f: F) -> Result<Vec<R>, FlowError>
 where
     R: Send,
@@ -259,59 +255,17 @@ where
         }
     }
 
-    let jobs = jobs.max(1).min(n);
-    if jobs <= 1 {
-        return (0..n)
-            .map(|i| {
-                catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| FlowError::TrialPanic {
-                    trial: i,
-                    message: panic_message(p),
-                })
+    let indices: Vec<usize> = (0..n).collect();
+    par::map(&indices, jobs, |&i| catch_unwind(AssertUnwindSafe(|| f(i))))
+        .into_iter()
+        .enumerate()
+        .map(|(trial, r)| {
+            r.map_err(|p| FlowError::TrialPanic {
+                trial,
+                message: panic_message(p),
             })
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
-    let f = &f;
-    let cursor = &cursor;
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-    for (i, r) in rx {
-        slots[i] = Some(r);
-    }
-    // Surface the first failure in *candidate* order, not arrival order.
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(message)) => return Err(FlowError::TrialPanic { trial: i, message }),
-            // Unreachable: the scope joins every worker and the cursor
-            // hands out each index exactly once — but a structured error
-            // beats an expect() if that invariant ever breaks.
-            None => {
-                return Err(FlowError::TrialPanic {
-                    trial: i,
-                    message: "trial result never arrived".to_string(),
-                })
-            }
-        }
-    }
-    Ok(out)
+        })
+        .collect()
 }
 
 /// Greedily adds capacity buffers where backpressure concentrates.

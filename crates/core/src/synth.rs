@@ -27,7 +27,7 @@ impl Default for SynthOptions {
     fn default() -> Self {
         SynthOptions {
             k: 6,
-            jobs: lutmap::default_jobs(),
+            jobs: dataflow::par::default_jobs(),
         }
     }
 }

@@ -44,6 +44,7 @@ pub mod fingerprint;
 mod graph;
 mod ids;
 mod memory;
+pub mod par;
 pub mod rng;
 mod text;
 mod unit;

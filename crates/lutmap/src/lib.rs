@@ -39,14 +39,3 @@ pub use flowmap::{MapSeed, MapStats};
 pub use mapper::{map_netlist, map_netlist_with_seed, MapError, MapOptions};
 pub use network::{Lut, LutId, LutInput, LutNetwork};
 pub use reference::map_netlist_reference;
-
-/// Default worker-thread count: `min(cores, 4)`, where `cores` follows the
-/// process's CPU mask. It sizes LUT packing, the slack-matching trial pool
-/// and the placement MILP's branch-and-bound pool. Results are
-/// bit-identical at any job count, so this only trades wall clock.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}

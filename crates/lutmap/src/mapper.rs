@@ -5,13 +5,13 @@
 //! inherently serial and kept so — it fixes the id order every downstream
 //! consumer sees. The per-LUT *packing* work (cone cover + majority
 //! origin), which dominates the phase, is a pure function of the root and
-//! its cut, so it fans out over scoped threads and commits in [`LutId`]
-//! order: the network is bit-identical at any job count.
+//! its cut, so it fans out over the [`dataflow::par`] pool and commits in
+//! [`LutId`] order: the network is bit-identical at any job count.
 
 use crate::flowmap::{compute_labels_seeded, CombView, Labeling, MapSeed, MapStats};
 use crate::network::{Lut, LutId, LutInput, LutNetwork};
 use dataflow::collections::{HashMap, HashSet};
-use dataflow::UnitId;
+use dataflow::{par, UnitId};
 use netlist::{GateId, GateKind, Netlist, NetlistMatching, Origin};
 use std::fmt;
 
@@ -41,7 +41,7 @@ impl Default for MapOptions {
         MapOptions {
             k: 6,
             area_recovery: true,
-            jobs: crate::default_jobs(),
+            jobs: par::default_jobs(),
         }
     }
 }
@@ -228,10 +228,11 @@ pub(crate) fn lut_cover(
     Ok(LutNetwork { luts, k })
 }
 
-/// Packs every discovered LUT: cover DFS + majority origin. Fans out over
-/// scoped threads when the cover is large enough to pay for them; each
-/// worker owns one [`PackScratch`], and chunk results are concatenated in
-/// root order, so output never depends on scheduling.
+/// Packs every discovered LUT: cover DFS + majority origin. The roots are
+/// cut into `jobs` chunks (one when the cover is too small to pay for
+/// threads), each packed with its own [`PackScratch`] on the
+/// [`dataflow::par`] pool; chunk results come back in root order, so
+/// output never depends on scheduling.
 fn pack_luts(
     nl: &Netlist,
     view: &CombView,
@@ -239,38 +240,20 @@ fn pack_luts(
     roots: &[(GateId, u32)],
     jobs: usize,
 ) -> Vec<(Vec<GateId>, Origin)> {
-    let jobs = jobs.max(1);
-    if jobs <= 1 || roots.len() < PACK_PAR_MIN {
+    let jobs = if roots.len() < PACK_PAR_MIN {
+        1
+    } else {
+        jobs.max(1)
+    };
+    let chunks: Vec<&[(GateId, u32)]> = roots.chunks(roots.len().div_ceil(jobs).max(1)).collect();
+    let packed = par::map(&chunks, jobs, |chunk| {
         let mut scratch = PackScratch::new(view.num_gates());
-        return roots
+        chunk
             .iter()
             .map(|&(root, d)| pack_one(nl, view, root, labeling.cut_of(d), &mut scratch))
-            .collect();
-    }
-    let chunk_len = roots.len().div_ceil(jobs);
-    let chunks: Vec<&[(GateId, u32)]> = roots.chunks(chunk_len).collect();
-    let outs: Vec<Vec<(Vec<GateId>, Origin)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                let chunk: &[(GateId, u32)] = chunk;
-                scope.spawn(move || {
-                    let mut scratch = PackScratch::new(view.num_gates());
-                    chunk
-                        .iter()
-                        .map(|&(root, d)| {
-                            pack_one(nl, view, root, labeling.cut_of(d), &mut scratch)
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+            .collect::<Vec<_>>()
     });
-    outs.into_iter().flatten().collect()
+    packed.into_iter().flatten().collect()
 }
 
 fn pack_one(

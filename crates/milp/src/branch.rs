@@ -161,6 +161,11 @@ fn solve_node(
 /// same `budget` — computed once from the sequential fold state before the
 /// wave launches, so the results stay a pure function of the queue order,
 /// never of the thread count.
+///
+/// This is the one worker pool outside `dataflow::par`, whose contract
+/// (results in item order) it repeats: `frequenz-milp` depends on no
+/// other crate, and a new edge in the crate graph would rewrite the
+/// repository benchmark's pinned `perfbench/Cargo.lock`.
 fn solve_wave(
     model: &Model,
     form: Option<&StdForm>,

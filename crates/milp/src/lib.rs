@@ -112,9 +112,15 @@
 //! entries by the *problem* being re-solved (graph, CFDFCs, objective
 //! weights), so later iterations hit the store even as cut counts and
 //! bound tightenings reshape the model, and any numeric drift is caught
-//! at adoption time, never trusted. A warm-started solve returns
-//! bit-identical values to a cold one — the warm start only changes how
-//! much work the proof takes.
+//! at adoption time, never trusted.
+//!
+//! A warm start is not invisible. The equivalence tests check that a
+//! warm and a cold solve agree on status and objective
+//! (`tests/milp_equivalence.rs`), not on values: a warm start changes the pivot path, so where several
+//! vertices are optimal it may return another one, and where the work
+//! limit truncates a solve it stops at another incumbent. Passing the
+//! buffer placer no warm starts moves five Table I rows (EXPERIMENTS.md,
+//! "Which solver paths Table I depends on").
 //!
 //! # Example
 //!

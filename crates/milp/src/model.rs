@@ -348,19 +348,6 @@ impl Model {
         self.cut_rounds = rounds;
     }
 
-    /// Runs the presolve pass in place and reports what it did. Called
-    /// automatically by [`Model::solve`] (on a clone, so the caller's model
-    /// is never mutated) unless [`Model::set_presolve`] disabled it; exposed
-    /// for tests and diagnostics. Idempotent: a second call is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::PresolveInfeasible`] when a presolve rule proves the
-    /// model has no integer-feasible point.
-    pub fn presolve(&mut self) -> Result<crate::presolve::PresolveReport, SolveError> {
-        crate::presolve::run(self)
-    }
-
     /// Canonicalizes the constraint rows in place and reports what was
     /// removed — the first step of every presolve round:
     ///

@@ -53,7 +53,9 @@ const FEAS_TOL: f64 = 1e-7;
 /// this is a backstop against pathological slow convergence, not a knob.
 const MAX_ROUNDS: usize = 32;
 
-/// What one [`Model::presolve`](crate::Model::presolve) pass did.
+/// What one presolve pass did: the pass [`Model::solve`](crate::Model::solve)
+/// runs before branch and bound, reported in
+/// [`Solution::presolve`](crate::Solution::presolve).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PresolveReport {
     /// Constraint rows before the pass.
@@ -189,7 +191,15 @@ fn others_max(act: &Activity, c_max: f64) -> Option<f64> {
     }
 }
 
-/// Runs the presolve pass on `m` in place.
+/// Runs the presolve pass on `m` in place and reports what it did.
+/// [`Model::solve`](crate::Model::solve) calls it on a clone, so the
+/// caller's model is never mutated, unless
+/// [`Model::set_presolve`](crate::Model::set_presolve) disabled it.
+///
+/// # Errors
+///
+/// [`SolveError::PresolveInfeasible`] when a rule proves the model has no
+/// integer-feasible point.
 pub(crate) fn run(m: &mut Model) -> Result<PresolveReport, SolveError> {
     let mut rep = PresolveReport {
         rows_before: m.constraints.len(),
@@ -452,7 +462,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 10.0, 1.0, false);
         m.add_constraint(vec![(x, 2.0)], Cmp::Le, 6.0);
-        let rep = m.presolve().unwrap();
+        let rep = run(&mut m).unwrap();
         assert_eq!(rep.singleton_rows, 1);
         assert_eq!(m.constraints.len(), 0);
         assert_eq!(m.vars[0].hi, 3.0);
@@ -467,7 +477,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0, true);
         let y = m.add_var("y", 0.0, 10.0, 0.0, false);
         m.add_constraint(vec![(x, 2.0), (y, 1.0)], Cmp::Le, 3.0);
-        let rep = m.presolve().unwrap();
+        let rep = run(&mut m).unwrap();
         assert!(rep.bounds_tightened >= 1, "{rep:?}");
         assert_eq!(m.vars[0].hi, 1.0);
     }
@@ -479,7 +489,7 @@ mod tests {
         let x = m.add_binary("x", 1.0);
         let y = m.add_binary("y", 1.0);
         m.add_constraint(vec![(x, 2.0), (y, 2.0)], Cmp::Le, 3.0);
-        let rep = m.presolve().unwrap();
+        let rep = run(&mut m).unwrap();
         assert!(rep.coeffs_reduced >= 2, "{rep:?}");
         assert_eq!(m.constraints.len(), 1);
         let c = &m.constraints[0];
@@ -500,10 +510,10 @@ mod tests {
         m.add_constraint(vec![(z, 1.0), (w, 1.0)], Cmp::Le, 9.0);
         m.add_constraint(vec![(w, 2.0)], Cmp::Le, 10.0);
         m.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Ge, 1.0);
-        let rep1 = m.presolve().unwrap();
+        let rep1 = run(&mut m).unwrap();
         assert!(rep1.rows_dropped > 0 || rep1.bounds_tightened > 0);
         let snap1 = snapshot(&m);
-        let rep2 = m.presolve().unwrap();
+        let rep2 = run(&mut m).unwrap();
         assert_eq!(snapshot(&m), snap1, "second presolve changed the model");
         assert_eq!(rep2.bounds_tightened, 0);
         assert_eq!(rep2.coeffs_reduced, 0);
@@ -516,7 +526,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 1.0, 1.0, false);
         m.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
         assert!(matches!(
-            m.presolve(),
+            run(&mut m),
             Err(SolveError::PresolveInfeasible(_))
         ));
     }
@@ -529,7 +539,7 @@ mod tests {
         let y = m.add_binary("y", 1.0);
         m.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 5.0);
         assert!(matches!(
-            m.presolve(),
+            run(&mut m),
             Err(SolveError::PresolveInfeasible(_))
         ));
     }
@@ -540,7 +550,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 10.0, 1.0, true);
         m.add_constraint(vec![(x, 2.0)], Cmp::Eq, 5.0);
         assert!(matches!(
-            m.presolve(),
+            run(&mut m),
             Err(SolveError::PresolveInfeasible(_))
         ));
     }

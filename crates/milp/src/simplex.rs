@@ -1916,6 +1916,114 @@ mod tests {
         );
     }
 
+    /// The dual walk's fallback: a warm walk that hits its iteration valve
+    /// discards the basis and cold-starts, with the walk's pivots carried.
+    /// The valve is set to the walk's own length `d`, measured by an
+    /// unrestricted warm solve, so the walk stops one check short of
+    /// optimality; the cold restart runs under the same valve.
+    #[test]
+    fn dual_walk_valve_falls_back_to_a_cold_start_with_its_pivots_carried() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let (mut completed, mut truncated, mut node_limits) = (0, 0, 0);
+        for case in 0..10_000 {
+            let model = random_bind_model(&mut rng);
+            let Ok(root) = solve_lp(&model, &BoundOverrides::default()) else {
+                continue;
+            };
+            // Pin about half of the variables the root optimum raised to
+            // their lower bounds: the walk must pivot each one out, while
+            // a cold start solves a smaller problem.
+            let mut ov = BoundOverrides::default();
+            for (j, var) in model.vars.iter().enumerate() {
+                if root.values[j] > var.lo + 0.5 && rng.below(2) == 0 {
+                    ov.entries.push((j, f64::NEG_INFINITY, var.lo));
+                }
+            }
+            let warm = root.basis.as_ref();
+            let Ok(full) = solve_lp_warm(&model, &ov, MAX_SIMPLEX_ITERS, warm) else {
+                continue;
+            };
+            if !full.warmed || full.dual_pivots == 0 {
+                continue; // no dual walk, or it already fell back
+            }
+            let d = full.dual_pivots;
+            let ctx = format!("case {case}, overrides {:?}, walk of {d}", ov.entries);
+            // The restart is the cold solve under the same valve, plus the
+            // walk's work.
+            let (lp, cold) = match (
+                solve_lp_warm(&model, &ov, d, warm),
+                solve_lp_warm(&model, &ov, d, None),
+            ) {
+                (Ok(lp), Ok(cold)) => (lp, cold),
+                // An unfinished cold phase 1 has no point to return.
+                (Err(SolveError::NodeLimit), Err(SolveError::NodeLimit)) => {
+                    node_limits += 1;
+                    continue;
+                }
+                (lp, cold) => panic!("{ctx}: fallback {lp:?}, cold {cold:?}"),
+            };
+            let dense = solve_lp_dense(&model, &ov).expect("the warm solve found an optimum");
+            assert!(!lp.warmed, "{ctx}: the walk's basis was kept");
+            assert_eq!(
+                (lp.pivots, lp.dual_pivots),
+                (d + cold.pivots, d),
+                "{ctx}: the walk's pivots are not carried"
+            );
+            assert_eq!(lp.truncated, cold.truncated, "{ctx}");
+            assert!(
+                lp.values
+                    .iter()
+                    .zip(&cold.values)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{ctx}: fallback {:?} vs cold {:?}",
+                lp.values,
+                cold.values
+            );
+            let tol = 1e-6 * (1.0 + dense.objective.abs());
+            if lp.truncated {
+                // Honest truncation: a feasible point, no better than the
+                // optimum.
+                let gain = match model.sense {
+                    Sense::Maximize => lp.objective - dense.objective,
+                    Sense::Minimize => dense.objective - lp.objective,
+                };
+                assert!(
+                    gain <= tol,
+                    "{ctx}: truncated {} beats {}",
+                    lp.objective,
+                    dense.objective
+                );
+                let (lo, hi) = bounds(&model, &ov).unwrap();
+                for (j, &x) in lp.values.iter().enumerate() {
+                    assert!(x >= lo[j] - 1e-6 && x <= hi[j] + 1e-6, "{ctx}: x{j} = {x}");
+                }
+                for c in &model.constraints {
+                    let lhs: f64 = c.terms.iter().map(|&(v, a)| a * lp.values[v.index()]).sum();
+                    let ok = match c.op {
+                        Cmp::Le => lhs <= c.rhs + 1e-6,
+                        Cmp::Ge => lhs >= c.rhs - 1e-6,
+                        Cmp::Eq => (lhs - c.rhs).abs() <= 1e-6,
+                    };
+                    assert!(ok, "{ctx}: row {c:?} reads {lhs}");
+                }
+                truncated += 1;
+            } else {
+                assert!(
+                    (lp.objective - dense.objective).abs() <= tol,
+                    "{ctx}: sparse {} dense {}",
+                    lp.objective,
+                    dense.objective
+                );
+                completed += 1;
+            }
+        }
+        assert!(
+            completed > 0 && truncated > 0,
+            "coverage: {completed} completed and {truncated} truncated fallbacks, \
+             {node_limits} node limits"
+        );
+    }
+
     #[test]
     fn sparse_and_dense_agree_on_the_doc_example() {
         let mut m = Model::new(Sense::Maximize);
