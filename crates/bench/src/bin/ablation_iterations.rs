@@ -26,9 +26,13 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| (1..=6).map(move |cap| (ki, cap)))
         .collect();
-    let cells = par::map(&combos, jobs_from_args(), |&(ki, cap)| {
+    // `--jobs` sizes the cell pool and each flow's synthesis and slack
+    // pools, as in `table1`; the printed table is the same at any count.
+    let jobs = jobs_from_args();
+    let cells = par::map(&combos, jobs, |&(ki, cap)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
+            jobs,
             max_iterations: cap,
             ..FlowOptions::default()
         };

@@ -21,9 +21,13 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| [4usize, 5, 6].into_iter().map(move |lut_k| (ki, lut_k)))
         .collect();
-    let cells = par::map(&combos, jobs_from_args(), |&(ki, lut_k)| {
+    // `--jobs` sizes the cell pool and each flow's synthesis and slack
+    // pools, as in `table1`; the printed table is the same at any count.
+    let jobs = jobs_from_args();
+    let cells = par::map(&combos, jobs, |&(ki, lut_k)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
+            jobs,
             k: lut_k,
             ..FlowOptions::default()
         };

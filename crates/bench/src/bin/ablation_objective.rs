@@ -24,10 +24,14 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, usize)> = (0..kernels.len())
         .flat_map(|ki| (0..variants.len()).map(move |vi| (ki, vi)))
         .collect();
-    let cells = par::map(&combos, jobs_from_args(), |&(ki, vi)| {
+    // `--jobs` sizes the cell pool and each flow's synthesis and slack
+    // pools, as in `table1`; the printed table is the same at any count.
+    let jobs = jobs_from_args();
+    let cells = par::map(&combos, jobs, |&(ki, vi)| {
         let k = &kernels[ki];
         let (_, objective, slack) = variants[vi];
         let opts = FlowOptions {
+            jobs,
             objective,
             slack_matching: slack,
             ..FlowOptions::default()

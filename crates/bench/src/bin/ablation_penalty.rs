@@ -27,9 +27,13 @@ fn main() -> Result<(), CompareError> {
     let combos: Vec<(usize, bool)> = (0..kernels.len())
         .flat_map(|ki| [true, false].into_iter().map(move |on| (ki, on)))
         .collect();
-    let cells = par::map(&combos, jobs_from_args(), |&(ki, on)| {
+    // `--jobs` sizes the cell pool and each flow's synthesis and slack
+    // pools, as in `table1`; the printed table is the same at any count.
+    let jobs = jobs_from_args();
+    let cells = par::map(&combos, jobs, |&(ki, on)| {
         let k = &kernels[ki];
         let opts = FlowOptions {
+            jobs,
             use_penalties: on,
             ..FlowOptions::default()
         };

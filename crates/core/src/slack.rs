@@ -10,24 +10,29 @@
 //! back-pressured channel and keep the change if it reduces total cycles
 //! without violating the logic-level budget.
 //!
-//! Each round's trial simulations are independent, so they are evaluated
-//! concurrently on the [`dataflow::par`] pool ([`SlackOptions::jobs`])
+//! Each round's trial simulations are independent, so they run together
 //! and the accept/reject decisions are replayed sequentially in fixed
-//! candidate order — the outcome is bit-identical at any job count, the same
-//! discipline as the placement MILP's fixed-wave branch-and-bound. Every
-//! trial is additionally capped at the round-start incumbent cycle count:
-//! a trial that reaches the incumbent can only be rejected, so aborting it
-//! there (reported as a pruned trial, distinct from a genuine deadlock)
-//! preserves behavior while skipping the useless tail of the simulation.
+//! candidate order — the outcome is bit-identical at any job count, the
+//! same discipline as the placement MILP's fixed-wave branch-and-bound.
+//! Every trial is additionally capped at the round-start incumbent cycle
+//! count: a trial that reaches the incumbent can only be rejected, so
+//! aborting it there (reported as a pruned trial, distinct from a genuine
+//! deadlock) preserves behavior while skipping the useless tail of the
+//! simulation.
 //!
 //! With the default [`SimEngine::Compiled`] engine the pass lowers the
-//! base circuit to bytecode **once** ([`sim::Program`]) and every profile
-//! and trial overlays its buffer set on a shared read-only [`Arc`] of that
-//! program ([`CompiledSim::with_buffers`]) — no per-trial graph clone, no
-//! adjacency rebuild, no hash lookups in the cycle loop. The full-sweep
-//! oracle ([`SimEngine::FullSweep`]) is bit-identical to it (enforced by
-//! `tests/sim_equivalence.rs`), so the engine choice can never change the
-//! chosen buffer set — only how fast it arrives.
+//! base circuit to bytecode **once** ([`sim::Program`]). The first profile
+//! runs on [`CompiledSim::with_buffers`]; each round's trials (at most 36:
+//! eight singles and their pairs) run as the lanes of [`CompiledLanes`],
+//! split into [`SlackOptions::jobs`] contiguous groups of at most
+//! [`MAX_LANES`] lanes on the [`dataflow::par`] pool. The trials of a round
+//! differ in one or two buffers and stay nearly synchronized, so one
+//! dispatch per unit serves every lane. Every lane's outcome and spent
+//! cycles equal its own single run's, which `tests/sim_equivalence.rs`
+//! pins lane by lane; the full-sweep oracle ([`SimEngine::FullSweep`])
+//! runs the trials one interpreted simulation at a time and picks the same
+//! buffers after the same trials and cycles, so the engine choice never
+//! changes the chosen buffer set — only how fast it arrives.
 //!
 //! Both strategies (mapping-aware and baseline) run the same pass, so the
 //! comparison between them stays apples-to-apples.
@@ -36,7 +41,9 @@ use crate::iterate::{apply_buffers, FlowError};
 use crate::synth::{SynthCache, SynthOptions};
 use crate::trace::{FlowTrace, SimStats};
 use dataflow::{par, ChannelId, Graph};
-use sim::{CompiledSim, Program, SimEngine, SimError, Simulator};
+use sim::{
+    CompiledLanes, CompiledSim, LaneRun, Program, SimEngine, SimError, Simulator, MAX_LANES,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,14 +63,19 @@ pub struct SlackOptions {
     pub k: usize,
     /// Logic-level budget that must not be exceeded.
     pub target_levels: u32,
-    /// Trial simulations evaluated concurrently per round. Results are
-    /// applied in fixed candidate order, so any job count produces the
-    /// same buffer set — this is purely a throughput knob.
+    /// Worker threads per round: the compiled engine splits a round's
+    /// trials into this many contiguous lane groups (more when a group
+    /// would exceed [`MAX_LANES`]), the interpreter runs this many trials
+    /// at once. Results are applied in fixed candidate order, so any job
+    /// count produces the same buffer set, trials and simulated cycles —
+    /// this is purely a throughput knob.
     pub jobs: usize,
     /// Simulation engine for profiles and trials. [`SimEngine::Compiled`]
-    /// (the default) compiles the circuit once per pass and shares the
-    /// program across trial threads, which is what makes large candidate
-    /// rounds cheap; [`SimEngine::FullSweep`] is its bit-identical oracle.
+    /// (the default) compiles the circuit once per pass and runs each
+    /// round's trials as the lanes of one [`CompiledLanes`] run per group,
+    /// which is what makes large candidate rounds cheap;
+    /// [`SimEngine::FullSweep`] is its bit-identical oracle, one
+    /// interpreted trial at a time.
     pub engine: SimEngine,
 }
 
@@ -79,24 +91,12 @@ impl Default for SlackOptions {
     }
 }
 
-/// How one pass instantiates simulators: a bytecode program compiled once
-/// and shared (buffer sets overlaid per run), or per-run full-sweep
-/// simulators over freshly buffered graph clones.
+/// How one pass simulates: a bytecode program compiled once and shared
+/// (buffer sets overlaid per run, each round's trials run as lanes), or
+/// per-run full-sweep simulators over freshly buffered graph clones.
 enum SimFactory<'g> {
     Compiled(Arc<Program>),
     Interpreted(&'g Graph),
-}
-
-/// A simulator of either flavor, unified just enough for this pass.
-enum TrialSim<'g> {
-    // Boxed: a CompiledSim is hundreds of bytes of vector headers, far
-    // larger than the interpreted variant.
-    Compiled(Box<CompiledSim>),
-    // The interpreted simulator borrows its graph, so the trial graph
-    // rides along in the same variant (self-referential via Box + the
-    // graph staying put behind it is avoided: profile/run helpers below
-    // never outlive one call, so the graph is owned by the caller frame).
-    Interpreted(Box<Simulator<'g>>),
 }
 
 impl<'g> SimFactory<'g> {
@@ -116,43 +116,34 @@ impl<'g> SimFactory<'g> {
             SimEngine::FullSweep => Ok(SimFactory::Interpreted(base)),
         }
     }
-}
 
-/// Runs one simulation of `base` + `bufs` for at most `budget` cycles and
-/// hands the finished simulator (and the run result) to `inspect`.
-fn run_with<T>(
-    factory: &SimFactory<'_>,
-    bufs: &[ChannelId],
-    budget: u64,
-    inspect: impl FnOnce(Result<u64, SimError>, &TrialSim<'_>) -> T,
-) -> Result<T, SimError> {
-    match factory {
-        SimFactory::Compiled(prog) => {
-            let mut vm = CompiledSim::with_buffers(Arc::clone(prog), bufs);
-            let res = vm.run(budget).map(|r| r.cycles);
-            Ok(inspect(res, &TrialSim::Compiled(Box::new(vm))))
-        }
-        SimFactory::Interpreted(base) => {
-            let g = apply_buffers(base, bufs);
-            let mut s = Simulator::with_engine(&g, SimEngine::FullSweep)?;
-            let res = s.run(budget).map(|r| r.cycles);
-            Ok(inspect(res, &TrialSim::Interpreted(Box::new(s))))
-        }
-    }
-}
-
-impl TrialSim<'_> {
-    fn stalls(&self, c: ChannelId) -> u64 {
+    /// Runs `base` + `bufs` once, for at most `budget` cycles.
+    fn run(&self, bufs: &[ChannelId], budget: u64) -> Result<LaneRun, SimError> {
+        let ids = |n: usize| (0..n).map(|c| ChannelId::from_raw(c as u32));
         match self {
-            TrialSim::Compiled(vm) => vm.stalls(c),
-            TrialSim::Interpreted(s) => s.stalls(c),
-        }
-    }
-
-    fn cycle(&self) -> u64 {
-        match self {
-            TrialSim::Compiled(vm) => vm.cycle(),
-            TrialSim::Interpreted(s) => s.cycle(),
+            SimFactory::Compiled(prog) => {
+                let mut vm = CompiledSim::with_buffers(Arc::clone(prog), bufs);
+                let result = vm.run(budget);
+                let n = prog.num_channels();
+                Ok(LaneRun {
+                    result,
+                    cycle: vm.cycle(),
+                    stalls: ids(n).map(|c| vm.stalls(c)).collect(),
+                    transfers: ids(n).map(|c| vm.transfers(c)).collect(),
+                })
+            }
+            SimFactory::Interpreted(base) => {
+                let g = apply_buffers(base, bufs);
+                let mut s = Simulator::with_engine(&g, SimEngine::FullSweep)?;
+                let result = s.run(budget);
+                let n = g.num_channels();
+                Ok(LaneRun {
+                    result,
+                    cycle: s.cycle(),
+                    stalls: ids(n).map(|c| s.stalls(c)).collect(),
+                    transfers: ids(n).map(|c| s.transfers(c)).collect(),
+                })
+            }
         }
     }
 }
@@ -167,34 +158,32 @@ type ProfileResult = (Option<u64>, Stalls, u64);
 /// Runs one simulation; returns completion cycles (`None` on run failure),
 /// the per-channel stall counts, and the cycles actually executed.
 ///
-/// Stalls are ranked by count descending with ties broken by ascending
-/// [`ChannelId`] — an explicit total order, so the candidate ranking never
-/// depends on sort-implementation details.
-///
 /// # Errors
 ///
 /// Only simulator *construction* failures (malformed graph); a deadlocked
 /// or timed-out run is an ordinary `None` outcome.
 fn profile(
-    base: &Graph,
     factory: &SimFactory<'_>,
     bufs: &[ChannelId],
     budget: u64,
 ) -> Result<ProfileResult, SimError> {
-    run_with(factory, bufs, budget, |res, s| {
-        (res.ok(), ranked_stalls(base, s), s.cycle())
-    })
+    let run = factory.run(bufs, budget)?;
+    let cycles = run.result.as_ref().ok().map(|r| r.cycles);
+    Ok((cycles, ranked_stalls(&run.stalls), run.cycle))
 }
 
-/// The [`Stalls`] of a finished run, ranked as [`profile`] documents.
-fn ranked_stalls(base: &Graph, s: &TrialSim<'_>) -> Stalls {
-    let mut stalls: Stalls = base
-        .channels()
-        .map(|(c, _)| (c, s.stalls(c)))
-        .filter(|(_, n)| *n > 0)
+/// The non-zero stall counts of a run, ranked by count descending with
+/// ties broken by ascending [`ChannelId`] — an explicit total order, so
+/// the candidate ranking never depends on sort-implementation details.
+fn ranked_stalls(stalls: &[u64]) -> Stalls {
+    let mut ranked: Stalls = stalls
+        .iter()
+        .enumerate()
+        .filter(|&(_, &n)| n > 0)
+        .map(|(c, &n)| (ChannelId::from_raw(c as u32), n))
         .collect();
-    stalls.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c));
-    stalls
+    ranked.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c));
+    ranked
 }
 
 /// Outcome of one trial simulation.
@@ -214,22 +203,64 @@ enum TrialOutcome {
     Failed,
 }
 
-/// Simulates `base` + `bufs` for at most `cap` cycles; returns the outcome
-/// and the cycles actually executed (the budget spent).
-fn run_trial(
-    base: &Graph,
-    factory: &SimFactory<'_>,
-    bufs: &[ChannelId],
-    cap: u64,
-) -> Result<(TrialOutcome, u64), SimError> {
-    run_with(factory, bufs, cap, |res, s| match res {
-        Ok(cycles) => (
-            TrialOutcome::Completed(cycles, ranked_stalls(base, s)),
-            cycles,
+/// A trial's outcome and the cycles it actually executed (the budget
+/// spent).
+fn trial_outcome(run: LaneRun) -> (TrialOutcome, u64) {
+    match run.result {
+        Ok(r) => (
+            TrialOutcome::Completed(r.cycles, ranked_stalls(&run.stalls)),
+            r.cycles,
         ),
         Err(SimError::Timeout { max_cycles }) => (TrialOutcome::TimedOut, max_cycles),
-        Err(_) => (TrialOutcome::Failed, s.cycle()),
+        Err(_) => (TrialOutcome::Failed, run.cycle),
+    }
+}
+
+/// One trial's outcome and spent cycles, or its simulator's construction
+/// error.
+type TrialResult = Result<(TrialOutcome, u64), SimError>;
+
+/// Simulates every trial set of a round for at most `cap` cycles, results
+/// in trial order. The compiled engine runs the sets as lanes of one
+/// program, in `jobs` contiguous groups of at most [`MAX_LANES`] lanes;
+/// the interpreter runs them one at a time. Either way each trial's
+/// outcome and spent cycles are its own single run's.
+///
+/// # Errors
+///
+/// [`FlowError::TrialPanic`] when a worker panics (naming the first trial
+/// of its lane group); a trial's construction error is returned in its
+/// slot.
+fn run_trials(
+    factory: &SimFactory<'_>,
+    sets: &[Vec<ChannelId>],
+    cap: u64,
+    jobs: usize,
+) -> Result<Vec<TrialResult>, FlowError> {
+    let SimFactory::Compiled(prog) = factory else {
+        return parallel_trials(sets.len(), jobs, |i| {
+            factory.run(&sets[i], cap).map(trial_outcome)
+        });
+    };
+    let groups = jobs.max(sets.len().div_ceil(MAX_LANES)).min(sets.len());
+    let bounds: Vec<usize> = (0..=groups)
+        .map(|g| g * sets.len() / groups.max(1))
+        .collect();
+    let runs = parallel_trials(groups, jobs, |g| {
+        CompiledLanes::with_buffers(Arc::clone(prog), &sets[bounds[g]..bounds[g + 1]]).run(cap)
     })
+    .map_err(|e| match e {
+        FlowError::TrialPanic { trial, message } => FlowError::TrialPanic {
+            trial: bounds[trial],
+            message,
+        },
+        other => other,
+    })?;
+    Ok(runs
+        .into_iter()
+        .flatten()
+        .map(|r| Ok(trial_outcome(r)))
+        .collect())
 }
 
 /// Runs `f` over `0..n` on the [`dataflow::par`] pool (up to `jobs`
@@ -332,7 +363,7 @@ fn slack_match_inner(
 
     let mut current: Vec<ChannelId> = buffers.to_vec();
     let t = Instant::now();
-    let (first, mut stalls, spent) = profile(base, &factory, &current, opts.sim_budget)?;
+    let (first, mut stalls, spent) = profile(&factory, &current, opts.sim_budget)?;
     sim.tally(t.elapsed(), spent);
     let Some(mut best_cycles) = first else {
         return Ok(current);
@@ -366,12 +397,12 @@ fn slack_match_inner(
         // let thread scheduling decide how far each trial runs and break
         // the jobs-count invariance of the synthesis-cache contents).
         let cap = opts.sim_budget.min(best_cycles);
+        let sets: Vec<Vec<ChannelId>> = candidates
+            .iter()
+            .map(|cand| current.iter().chain(cand).copied().collect())
+            .collect();
         let t = Instant::now();
-        let outcomes = parallel_trials(candidates.len(), opts.jobs, |i| {
-            let mut trial = current.clone();
-            trial.extend(candidates[i].iter().copied());
-            run_trial(base, &factory, &trial, cap)
-        })?;
+        let outcomes = run_trials(&factory, &sets, cap, opts.jobs)?;
         sim.time += t.elapsed();
         sim.runs += outcomes.len() as u64;
         trace.slack_trials += outcomes.len() as u64;
@@ -381,7 +412,7 @@ fn slack_match_inner(
         // graph that profiled above, but structured all the same) surface
         // in the same deterministic order.
         let mut accepted: Option<(Vec<ChannelId>, u64, Stalls)> = None;
-        for (cand, outcome) in candidates.into_iter().zip(outcomes) {
+        for ((cand, trial), outcome) in candidates.into_iter().zip(&sets).zip(outcomes) {
             let (outcome, spent) = outcome?;
             sim.cycles += spent;
             let (cycles, trial_stalls) = match outcome {
@@ -397,9 +428,7 @@ fn slack_match_inner(
                 .map(|(_, c, _)| cycles < *c)
                 .unwrap_or(cycles < best_cycles);
             if better {
-                let mut trial = current.clone();
-                trial.extend(cand.iter().copied());
-                let gt = apply_buffers(base, &trial);
+                let gt = apply_buffers(base, trial);
                 let synth_opts = SynthOptions {
                     k: opts.k,
                     jobs: opts.jobs,
@@ -447,7 +476,7 @@ mod tests {
         engine: SimEngine,
     ) -> (Option<u64>, Vec<(ChannelId, u64)>, u64) {
         let factory = SimFactory::build(base, engine, &mut SimStats::default()).unwrap();
-        profile(base, &factory, bufs, budget).unwrap()
+        profile(&factory, bufs, budget).unwrap()
     }
 
     #[test]

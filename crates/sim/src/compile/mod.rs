@@ -11,10 +11,14 @@
 //!   arrays, no per-unit allocation).
 //! * [`CompiledSim`] executes the program with SoA signal vectors and
 //!   dense `u64` dirty bitmasks in place of the interpreter's
-//!   worklist. A program is immutable and `Arc`-shared:
-//!   slack matching compiles one program per placement and runs hundreds
-//!   of buffer-overlay trials against it from multiple threads without
-//!   re-flattening the graph.
+//!   worklist. A program is immutable and `Arc`-shared: slack matching
+//!   compiles one program per placement and overlays every buffer set it
+//!   simulates on it without re-flattening the graph.
+//! * [`CompiledLanes`] runs up to [`MAX_LANES`] buffer overlays of one
+//!   program in lock step: valid/ready as `u64` lane masks, payloads and
+//!   state per lane, one dispatch per unit for every lane that needs it.
+//!   Slack matching runs each round's trials as its lanes; every lane is
+//!   pinned against [`CompiledSim`], its lane-by-lane oracle.
 //!
 //! Semantics are *defined* by the interpreter: every evaluation and
 //! commit function here mirrors the interpreter's `eval`/`commit` modules
@@ -23,8 +27,10 @@
 //! handshake view, memory images, error variants, and error precedence)
 //! on proptest DFGs and all evaluation kernels.
 
+mod lanes;
 mod program;
 mod vm;
 
+pub use lanes::{CompiledLanes, LaneRun, MAX_LANES};
 pub use program::Program;
 pub use vm::CompiledSim;

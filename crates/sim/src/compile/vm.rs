@@ -162,7 +162,7 @@ fn pt(p: &Program, k: usize) -> usize {
 /// instruction's own cache line, the rest from [`Program::ports`]. With
 /// a constant `k` the branch folds away.
 #[inline(always)]
-fn cin(p: &Program, i: &Instr, k: usize) -> usize {
+pub(super) fn cin(p: &Program, i: &Instr, k: usize) -> usize {
     match k {
         0 => i.c_in0 as usize,
         1 => i.c_in1 as usize,
@@ -172,7 +172,7 @@ fn cin(p: &Program, i: &Instr, k: usize) -> usize {
 
 /// Output-channel id of port `k`, mirrored like [`cin`].
 #[inline(always)]
-fn cout(p: &Program, i: &Instr, k: usize) -> usize {
+pub(super) fn cout(p: &Program, i: &Instr, k: usize) -> usize {
     if k == 0 {
         i.c_out0 as usize
     } else {

@@ -7,8 +7,9 @@
 //! * [`SimEngine::Compiled`] (the default) lowers the graph once into flat
 //!   bytecode ([`crate::compile`]) and executes it with SoA state and
 //!   dense dirty bitmasks — no per-cycle `UnitKind` dispatch or port
-//!   lookups. The program is `Arc`-shared read-only across slack-trial
-//!   threads.
+//!   lookups. The program is `Arc`-shared read-only, and slack matching
+//!   runs a round's trials over it as the lanes of one
+//!   [`crate::CompiledLanes`] run.
 //! * [`SimEngine::FullSweep`] interprets the graph directly: it re-queues
 //!   every unit and re-derives every channel at the start of each settle,
 //!   and commits every channel and unit at each edge. It is the original

@@ -14,11 +14,12 @@
 //!
 //! Two engines share those semantics (see [`SimEngine`]). The default,
 //! [`SimEngine::Compiled`] (see [`compile`]), lowers the graph once and
-//! executes a tight decode loop; every pass runs on it, and slack matching
-//! compiles one [`Program`] per placement and shares it read-only across
-//! trial threads. [`SimEngine::FullSweep`], the original interpreter that
-//! re-evaluates every unit each cycle, is kept as its bit-identical
-//! oracle.
+//! executes a tight decode loop; every pass runs on it.
+//! [`SimEngine::FullSweep`], the original interpreter that re-evaluates
+//! every unit each cycle, is kept as its bit-identical oracle. Slack
+//! matching compiles one [`Program`] per placement and runs each round's
+//! trials as the lanes of one [`CompiledLanes`] run: every lane is
+//! bit-identical to a single [`CompiledSim`] run, its lane-by-lane oracle.
 //!
 //! # Example
 //!
@@ -52,7 +53,7 @@ mod state;
 mod types;
 mod vcd;
 
-pub use compile::{CompiledSim, Program};
+pub use compile::{CompiledLanes, CompiledSim, LaneRun, Program, MAX_LANES};
 pub use engine::{SimEngine, Simulator};
 pub use types::{RunStats, SimError, SimOptions};
 pub use vcd::VcdTracer;

@@ -4,15 +4,23 @@
 //! cycles, exit values, per-channel transfer/stall counters, memory
 //! contents, error cases, and the per-cycle handshake view a VCD waveform
 //! records — on randomized DFGs and on all nine evaluation kernels. The
-//! parallel slack-matching pass built on top must additionally pick
-//! identical buffer sets after identical trials on either engine and at
-//! any job count, on the reduced and the full-size kernels.
+//! multi-lane run ([`sim::CompiledLanes`]) must agree lane by lane with
+//! the single-lane compiled engine — result, cycle, per-channel stalls and
+//! transfers — on random lane sets, failing graphs and the first slack
+//! round of every kernel. The parallel slack-matching pass built on top
+//! must additionally pick identical buffer sets after identical trials and
+//! simulated cycles on either engine and at any job count, on the reduced
+//! and the full-size kernels.
 
 use frequenz::core::{slack_match_traced, FlowTrace, SlackOptions, SynthCache};
 use frequenz::dataflow::{BufferSpec, ChannelId, Graph, OpKind, PortRef, UnitKind};
 use frequenz::hls::{kernels, Kernel};
-use frequenz::sim::{RunStats, SimEngine, SimError, Simulator, VcdTracer};
+use frequenz::sim::{
+    CompiledLanes, CompiledSim, LaneRun, Program, RunStats, SimEngine, SimError, Simulator,
+    VcdTracer,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const ENGINES: [SimEngine; 2] = [SimEngine::FullSweep, SimEngine::Compiled];
 
@@ -149,6 +157,95 @@ fn buffered_gsum(n: usize, bufs: &[u16]) -> Graph {
     g
 }
 
+/// What the single-lane engine reports for `prog` with FULL buffers on
+/// `bufs`, run under `cap`.
+fn single_lane(prog: &Arc<Program>, bufs: &[ChannelId], args: &[u64], cap: u64) -> LaneRun {
+    let mut vm = CompiledSim::with_buffers(Arc::clone(prog), bufs);
+    for (i, &v) in args.iter().enumerate() {
+        vm.set_arg(i as u8, v);
+    }
+    let result = vm.run(cap);
+    let ids = (0..prog.num_channels()).map(|c| ChannelId::from_raw(c as u32));
+    LaneRun {
+        result,
+        cycle: vm.cycle(),
+        stalls: ids.clone().map(|c| vm.stalls(c)).collect(),
+        transfers: ids.map(|c| vm.transfers(c)).collect(),
+    }
+}
+
+/// Runs `lanes` over `g` as one lane run under every cap in `caps` and
+/// asserts each lane equals its single-lane run.
+fn assert_lanes_match(
+    g: &Graph,
+    args: &[u64],
+    lanes: &[Vec<ChannelId>],
+    caps: &[u64],
+    label: &str,
+) {
+    let prog = Arc::new(Program::compile(g).expect("valid graph compiles"));
+    for &cap in caps {
+        let mut run = CompiledLanes::with_buffers(Arc::clone(&prog), lanes);
+        for (i, &v) in args.iter().enumerate() {
+            run.set_arg(i as u8, v);
+        }
+        let got = run.run(cap);
+        assert_eq!(got.len(), lanes.len(), "{label}: one run per lane");
+        for (l, (lane, got)) in lanes.iter().zip(&got).enumerate() {
+            let want = single_lane(&prog, lane, args, cap);
+            assert!(
+                *got == want,
+                "{label}: lane {l} (buffers {lane:?}) diverged at cap {cap}: \
+                 got {:?} at cycle {}, want {:?} at cycle {}; stalls agree: {}, \
+                 transfers agree: {}",
+                got.result,
+                got.cycle,
+                want.result,
+                want.cycle,
+                got.stalls == want.stalls,
+                got.transfers == want.transfers
+            );
+        }
+    }
+}
+
+/// The caps every lane set is pinned at: 0, 1, 7, 50, and one cycle short
+/// of and exactly at `completion`, the base circuit's completion cycle.
+fn lane_caps(completion: Option<u64>) -> Vec<u64> {
+    let mut caps = vec![0, 1, 7, 50];
+    if let Some(n) = completion {
+        caps.extend([n.saturating_sub(1), n]);
+    }
+    caps
+}
+
+/// Lane overlays drawn from `picks`: each inner list becomes one lane's
+/// extra FULL buffers, channels taken modulo the graph's channel count.
+fn lane_sets(g: &Graph, picks: &[Vec<u16>]) -> Vec<Vec<ChannelId>> {
+    let channels: Vec<_> = g.channels().map(|(c, _)| c).collect();
+    picks
+        .iter()
+        .map(|p| {
+            let mut lane: Vec<_> = p
+                .iter()
+                .map(|&b| channels[b as usize % channels.len()])
+                .collect();
+            lane.sort();
+            lane.dedup();
+            lane
+        })
+        .collect()
+}
+
+/// The base circuit's completion cycle under `budget`, if it completes.
+fn completion(g: &Graph, args: &[u64], budget: u64) -> Option<u64> {
+    let mut s = Simulator::new(g).expect("valid graph constructs");
+    for (i, &v) in args.iter().enumerate() {
+        s.set_arg(i as u8, v);
+    }
+    s.run(budget).ok().map(|r| r.cycles)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -177,6 +274,30 @@ proptest! {
         let sweep = fingerprint(&g, SimEngine::FullSweep, &[], 50_000);
         let got = fingerprint(&g, SimEngine::Compiled, &[], 50_000);
         prop_assert_eq!(&got, &sweep, "Compiled diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random chains and buffered loops with random lane sets: every lane
+    /// of one lane run equals its single-lane run at every pinned cap.
+    #[test]
+    fn lanes_agree_with_single_lane_on_random_graphs(
+        ops in prop::collection::vec(any::<u8>(), 1..12),
+        bufs in prop::collection::vec(any::<u16>(), 0..8),
+        args in prop::collection::vec(any::<u64>(), 13),
+        n in 2usize..24,
+        picks in prop::collection::vec(prop::collection::vec(any::<u16>(), 0..3), 1..12),
+    ) {
+        let chain = sim_chain(&ops, &bufs);
+        let lanes = lane_sets(&chain, &picks);
+        let caps = lane_caps(completion(&chain, &args, 10_000));
+        assert_lanes_match(&chain, &args, &lanes, &caps, "chain");
+        let looped = buffered_gsum(n, &bufs);
+        let lanes = lane_sets(&looped, &picks);
+        let caps = lane_caps(completion(&looped, &[], 50_000));
+        assert_lanes_match(&looped, &[], &lanes, &caps, "gsum");
     }
 }
 
@@ -209,10 +330,8 @@ fn engines_agree_on_unseeded_kernel_failures() {
     }
 }
 
-/// A data cycle through two adders never settles: both engines must call
-/// it [`SimError::NoFixpoint`] on the same cycle.
-#[test]
-fn no_fixpoint_is_engine_invariant() {
+/// A data cycle through two adders without a buffer: it never settles.
+fn osc_graph() -> Graph {
     let mut g = Graph::new("osc");
     let bb = g.add_basic_block("bb0");
     let a0 = g
@@ -232,13 +351,19 @@ fn no_fixpoint_is_engine_invariant() {
     g.connect(PortRef::new(u, 0), PortRef::new(v, 0)).unwrap();
     g.connect(PortRef::new(a1, 0), PortRef::new(v, 1)).unwrap();
     g.validate().unwrap();
-    let sweep = assert_engines_identical(&g, &[1, 1], 100, "osc");
+    g
+}
+
+/// The data cycle never settles: both engines must call it
+/// [`SimError::NoFixpoint`] on the same cycle.
+#[test]
+fn no_fixpoint_is_engine_invariant() {
+    let sweep = assert_engines_identical(&osc_graph(), &[1, 1], 100, "osc");
     assert_eq!(sweep.0, Err(SimError::NoFixpoint));
 }
 
-/// An out-of-range load faults identically under both engines.
-#[test]
-fn addr_out_of_bounds_is_engine_invariant() {
+/// A load from a four-word memory at an address taken from argument 0.
+fn oob_graph() -> Graph {
     let mut g = Graph::new("oob");
     let bb = g.add_basic_block("bb0");
     let mem = g.add_memory("m", 4, 8, vec![1, 2, 3, 4]);
@@ -250,7 +375,13 @@ fn addr_out_of_bounds_is_engine_invariant() {
     g.connect(PortRef::new(a, 0), PortRef::new(ld, 0)).unwrap();
     g.connect(PortRef::new(ld, 0), PortRef::new(x, 0)).unwrap();
     g.validate().unwrap();
-    let sweep = assert_engines_identical(&g, &[99], 100, "oob");
+    g
+}
+
+/// An out-of-range load faults identically under both engines.
+#[test]
+fn addr_out_of_bounds_is_engine_invariant() {
+    let sweep = assert_engines_identical(&oob_graph(), &[99], 100, "oob");
     assert!(
         matches!(
             sweep.0,
@@ -312,6 +443,109 @@ fn run_budget_boundary_is_exact() {
     }
 }
 
+/// Every single-channel overlay of `g`, plus the empty one.
+fn single_channel_lanes(g: &Graph) -> Vec<Vec<ChannelId>> {
+    std::iter::once(Vec::new())
+        .chain(g.channels().map(|(c, _)| vec![c]))
+        .take(64)
+        .collect()
+}
+
+/// Pins `lanes` over `g` as one lane run, then again without the lanes
+/// that never settle: one such lane sends every lane to the single-lane
+/// re-run, so only the second run keeps deadlocks on the shared path.
+fn assert_failing_lanes_match(
+    g: &Graph,
+    args: &[u64],
+    lanes: &[Vec<ChannelId>],
+    caps: &[u64],
+    label: &str,
+) {
+    assert_lanes_match(g, args, lanes, caps, label);
+    let prog = Arc::new(Program::compile(g).expect("valid graph compiles"));
+    let cap = caps.iter().copied().max().unwrap_or(0);
+    let settling: Vec<_> = lanes
+        .iter()
+        .filter(|lane| single_lane(&prog, lane, args, cap).result != Err(SimError::NoFixpoint))
+        .cloned()
+        .collect();
+    assert_lanes_match(g, args, &settling, caps, label);
+}
+
+/// Failing graphs as lanes: unseeded kernels (which deadlock or never
+/// settle unless a lane buffers their back edges), the unsettling data
+/// cycle and the faulting load. Each lane still equals its single-lane run.
+#[test]
+fn lanes_agree_with_single_lane_on_failing_graphs() {
+    for k in kernels::all_kernels_small() {
+        let g = k.graph();
+        let mut lanes = vec![Vec::new(), k.back_edges().to_vec()];
+        lanes.extend(k.back_edges().iter().map(|&c| vec![c]));
+        lanes.extend(single_channel_lanes(g).into_iter().skip(1).step_by(5));
+        lanes.truncate(64);
+        let caps = lane_caps(completion(&k.seeded_graph(), &[], k.max_cycles));
+        assert_failing_lanes_match(g, &[], &lanes, &caps, k.name);
+    }
+    let osc = osc_graph();
+    let lanes = single_channel_lanes(&osc);
+    assert_failing_lanes_match(&osc, &[1, 1], &lanes, &lane_caps(None), "osc");
+    let oob = oob_graph();
+    for addr in [99, 2] {
+        let caps = lane_caps(completion(&oob, &[addr], 100));
+        assert_lanes_match(&oob, &[addr], &single_channel_lanes(&oob), &caps, "oob");
+    }
+}
+
+/// The first slack-matching round of `k`, as the pass runs it: the
+/// seeded circuit's top stalled channels singly and in pairs, capped at
+/// the seeded circuit's own cycle count.
+fn first_round(k: &Kernel) -> (Vec<Vec<ChannelId>>, u64) {
+    let g = k.graph();
+    let current = k.back_edges().to_vec();
+    let prog = Arc::new(Program::compile(g).expect("kernel compiles"));
+    let profile = single_lane(&prog, &current, &[], k.max_cycles * 4);
+    let cycles = profile.result.expect("seeded kernel completes").cycles;
+    let mut ranked: Vec<(ChannelId, u64)> = g
+        .channels()
+        .map(|(c, _)| (c, profile.stalls[c.index()]))
+        .filter(|&(c, n)| n > 0 && !current.contains(&c))
+        .collect();
+    ranked.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c));
+    let top: Vec<ChannelId> = ranked.iter().take(8).map(|&(c, _)| c).collect();
+    let mut lanes: Vec<Vec<ChannelId>> = top.iter().map(|&c| vec![c]).collect();
+    for i in 0..top.len() {
+        for j in (i + 1)..top.len() {
+            lanes.push(vec![top[i], top[j]]);
+        }
+    }
+    for lane in &mut lanes {
+        lane.splice(0..0, current.iter().copied());
+    }
+    (lanes, cycles)
+}
+
+/// The first slack round of the nine kernels at reduced and full size and
+/// of the three long-trip kernels: every candidate lane, under the
+/// round's own cap and the pinned caps, equals its single-lane run.
+#[test]
+fn lanes_agree_with_single_lane_on_kernel_slack_rounds() {
+    let long_trip = [
+        kernels::insertion_sort(256),
+        kernels::gsum(1024),
+        kernels::gsumif(1024),
+    ];
+    let sets = [kernels::all_kernels_small(), kernels::all_kernels()];
+    for k in sets.iter().flatten() {
+        let (lanes, cap) = first_round(k);
+        assert!(!lanes.is_empty(), "{}: the seeded kernel stalls", k.name);
+        assert_lanes_match(k.graph(), &[], &lanes, &lane_caps(Some(cap)), k.name);
+    }
+    for k in &long_trip {
+        let (lanes, cap) = first_round(k);
+        assert_lanes_match(k.graph(), &[], &lanes, &[cap], k.name);
+    }
+}
+
 /// Feeding an unvalidated graph (dangling ports) must yield a structured
 /// [`SimError::UnconnectedPort`] from every engine's constructor — never a
 /// panic.
@@ -339,14 +573,13 @@ fn unvalidated_graph_is_rejected_with_structured_error() {
     }
 }
 
+/// What one slack-matching pass reports: the buffers it picks, the
+/// trials it ran and pruned, and its simulation runs and cycles.
+type SlackOutcome = (Vec<ChannelId>, u64, u64, u64, u64);
+
 /// One slack-matching pass on `k` through the caller's synthesis cache:
-/// the buffers it picks and the trials it ran (and pruned) to pick them.
-fn slack_outcome(
-    k: &Kernel,
-    engine: SimEngine,
-    jobs: usize,
-    cache: &SynthCache,
-) -> (Vec<ChannelId>, u64, u64) {
+/// the buffers it picks and the simulation it spent to pick them.
+fn slack_outcome(k: &Kernel, engine: SimEngine, jobs: usize, cache: &SynthCache) -> SlackOutcome {
     let opts = SlackOptions {
         sim_budget: k.max_cycles * 4,
         jobs,
@@ -356,7 +589,13 @@ fn slack_outcome(
     let mut trace = FlowTrace::default();
     let buffers = slack_match_traced(k.graph(), k.back_edges(), &opts, cache, &mut trace)
         .expect("slack matching succeeds");
-    (buffers, trace.slack_trials, trace.slack_trials_pruned)
+    (
+        buffers,
+        trace.slack_trials,
+        trace.slack_trials_pruned,
+        trace.sim_runs,
+        trace.sim_cycles,
+    )
 }
 
 /// Asserts `engine`'s slack pass on `k` is identical at jobs 1, 2 and 8.
@@ -374,8 +613,9 @@ fn assert_slack_jobs_invariant(k: &Kernel, engine: SimEngine) {
 }
 
 /// The parallel slack-matching pass picks the same buffers after the same
-/// trials at any job count: trials are evaluated concurrently but applied
-/// in fixed candidate order. Sweeps both engines on the reduced kernels
+/// trials and simulated cycles at any job count: trials are evaluated
+/// concurrently (as lane groups on the compiled engine) but applied in
+/// fixed candidate order. Sweeps both engines on the reduced kernels
 /// and the compiled engine on the full-size ones.
 #[test]
 fn slack_matching_jobs_sweep_is_bit_identical() {
@@ -390,8 +630,8 @@ fn slack_matching_jobs_sweep_is_bit_identical() {
 }
 
 /// The two slack engines must choose the same buffer set after the same
-/// trials: simulation is bit-identical, so the greedy pass sees identical
-/// cycle counts. Reduced kernels at jobs 2, full-size kernels at jobs 1.
+/// trials and simulated cycles: the compiled engine's lane runs equal the
+/// interpreted trials, so the greedy pass sees identical cycle counts. Reduced kernels at jobs 2, full-size kernels at jobs 1.
 #[test]
 fn slack_matching_engines_agree() {
     let sets = [
