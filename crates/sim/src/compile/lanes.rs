@@ -144,7 +144,9 @@ pub struct CompiledLanes {
     mem_len: usize,
     exited: u64,
     exit_value: Vec<Option<u64>>,
-    /// Shared schedule, one bit per unit or channel, as in [`CompiledSim`].
+    /// Shared schedule, one bit per unit or channel: full wakes, ready-only
+    /// wakes (see [`CompiledLanes::settle`]), register seeds, the commit
+    /// list and the units evaluated this cycle.
     dirty: Vec<u64>,
     dirty_r: Vec<u64>,
     seed: Vec<u64>,
@@ -544,9 +546,14 @@ impl CompiledLanes {
         mark(&mut self.ch_commit, c);
     }
 
-    /// The shared combinational fixpoint: [`CompiledSim`]'s two-phase
-    /// relaxation over the union of the lanes' wakes. `false` when the
-    /// union exceeds the program's evaluation budget.
+    /// The shared combinational fixpoint over the union of the lanes'
+    /// wakes, in two phases repeated until both wake sets are clean: full
+    /// evaluations ascending (valid and data move downstream), then
+    /// ready-only bodies descending (ready moves upstream). A lane
+    /// evaluation writes every output for up to 64 lanes, so skipping that
+    /// half on a ready wake pays here; [`CompiledSim`] runs one body in one
+    /// ascending pass. `false` when the union exceeds the program's
+    /// evaluation budget.
     fn settle(&mut self, p: &Program) -> bool {
         let nu = p.num_units();
         let nc = p.num_channels();
@@ -827,49 +834,50 @@ impl CompiledLanes {
                 self.tmp = grant;
             }
             Op::CMerge => {
-                // Two-input by construction, like the single-lane arm.
-                let ci0 = i.c_in0 as usize;
-                let ci1 = i.c_in1 as usize;
+                // The `Merge` grant, except in the lanes with a latched
+                // grant, which outranks it.
                 let sb0 = i.sb as usize;
                 let done0 = self.sb[sb0];
                 let done1 = self.sb[sb0 + 1];
+                self.input_valids(p, i);
+                let mut grant = std::mem::take(&mut self.tmp);
                 let raw = &self.sw[i.sw as usize * n..i.sw as usize * n + n];
-                let v0 = self.chan(ci0).v_dst;
-                let v1 = self.chan(ci1).v_dst;
                 let latched = lane_mask(n, |l| raw[l] != 0);
-                let any = latched | v0 | v1;
-                // The granted input of every lane (0 where none is).
-                let mut g: Words = [0; MAX_LANES];
-                for l in 0..n {
-                    g[l] = if raw[l] != 0 {
-                        raw[l] - 1
-                    } else {
-                        (v1 >> l) & 1
-                    };
+                let mut taken = latched;
+                for g in grant.iter_mut().rev() {
+                    let v = *g;
+                    *g = v & !taken;
+                    taken |= v;
                 }
-                let g0 = any & lane_mask(n, |l| g[l] == 0);
-                let g1 = lane_mask(n, |l| g[l] == 1);
+                for l in bits_of(latched) {
+                    grant[(raw[l] - 1) as usize] |= 1 << l;
+                }
+                let any = taken;
                 let c0 = i.c_out0 as usize;
                 let c1 = cout(p, i, 1);
                 let r0 = self.chan(c0).r_src;
                 let r1 = self.chan(c1).r_src;
                 if full {
+                    // Each lane's granted input (0 where none is) and its
+                    // payload.
+                    let mut g: Words = [0; MAX_LANES];
                     let mut w: Words = [0; MAX_LANES];
-                    let (d0, d1) = (self.chan(ci0).dd as usize, self.chan(ci1).dd as usize);
-                    for l in bits_of(any & dl) {
-                        w[l] = if g[l] == 1 {
-                            self.dat[d1 + l]
-                        } else {
-                            self.dat[d0 + l]
-                        };
+                    for (k, &gk) in grant.iter().enumerate() {
+                        let d = self.chan(cin(p, i, k)).dd as usize;
+                        for l in bits_of(gk & dl) {
+                            g[l] = k as u64;
+                            w[l] = self.dat[d + l];
+                        }
                     }
                     self.set_out(c0, any & !done0, dl, &w);
                     self.set_out(c1, any & !done1, dl, &g);
                 }
                 let fire_ready = (done0 | r0) & (done1 | r1);
-                self.set_ready(ci0, g0 & fire_ready);
-                self.set_ready(ci1, g1 & fire_ready);
+                for (k, &gk) in grant.iter().enumerate() {
+                    self.set_ready(cin(p, i, k), gk & fire_ready);
+                }
                 self.fire[u] = (any | done0 | done1) & all;
+                self.tmp = grant;
             }
             Op::Mux | Op::Mux2 => {
                 let nd = i.nin as usize - 1;
@@ -935,9 +943,8 @@ impl CompiledLanes {
                     let inv = !self.tmp[k] & all;
                     self.set_ready(cin(p, i, k), en & others(all, m1, m2, inv));
                 }
-                // The enable, not the single-lane engine's exact
-                // prediction: that costs a datapath pass per evaluation,
-                // and a commit it would skip is a no-op.
+                // The enable, as in the single-lane engine: a commit acts
+                // only when enabled.
                 self.fire[u] = en;
             }
             Op::Load => {

@@ -1,6 +1,6 @@
 //! The compile pass: lowering a [`Graph`] into a flat bytecode [`Program`].
 
-use crate::types::{mask, SimError};
+use crate::types::{fixpoint_limit, mask, SimError};
 use dataflow::{Graph, OpKind, UnitKind};
 
 /// Dense opcode of one lowered unit. The VM dispatches on this single
@@ -189,8 +189,8 @@ pub struct Program {
     /// observers) and memory ports (a load must observe stores committed
     /// in the same cycle even when none of its own signals changed).
     pub(crate) always_mask: Vec<u64>,
-    /// Per-settle evaluation cap — same formula as the interpreter, so
-    /// `NoFixpoint` stays engine-invariant.
+    /// Per-settle evaluation cap, the interpreter's own budget
+    /// (`types::fixpoint_limit`), so `NoFixpoint` stays engine-invariant.
     pub(crate) fixpoint_limit: usize,
 }
 
@@ -362,7 +362,7 @@ impl Program {
             num_sb,
             num_sw,
             always_mask,
-            fixpoint_limit: 64 * (g.num_units() + g.num_channels()) + 64,
+            fixpoint_limit: fixpoint_limit(g),
         })
     }
 

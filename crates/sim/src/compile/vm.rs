@@ -11,6 +11,13 @@
 //! per-cycle handshake view, memory images, error variants and their
 //! precedence) are bit-identical.
 //!
+//! Each unit has one evaluation body, its `eval_unit` arm, and one wake
+//! set, `dirty`. A unit wakes when an input's valid or data, an output's
+//! ready or its own state moves, and `settle` drains the set in ascending
+//! unit order until it is clean. Re-running a whole body for a ready
+//! change costs only its datapath: an output write whose inputs did not
+//! change is a no-op and marks nothing.
+//!
 //! Two structural differences make the VM's clock edge cheaper than the
 //! interpreter's:
 //!
@@ -29,9 +36,12 @@
 //!   only units evaluated during settle (plus the always-commit set:
 //!   entries, exits and memory ports) are visited at the clock edge. A
 //!   unit or channel whose inputs and state are unchanged commits to the
-//!   same state — a no-op the interpreter pays for every cycle. Bitmask
-//!   scans keep the visit order ascending, so memory effects and error
-//!   precedence still match the full-sweep oracle exactly.
+//!   same state — a no-op the interpreter pays for every cycle. The fire
+//!   mask prunes the visited units further: every evaluation of a stateful
+//!   unit records whether its commit can act at all (for pipes and memory
+//!   ports, simply their enable). Bitmask scans keep the visit order
+//!   ascending, so memory effects and error precedence still match the
+//!   full-sweep oracle exactly.
 
 use super::program::{
     Instr, Op, Program, ALU_ADD, ALU_AND, ALU_EQ, ALU_GE, ALU_GT, ALU_LE, ALU_LT, ALU_MUL, ALU_NE,
@@ -103,15 +113,11 @@ pub struct CompiledSim {
     mems: Vec<u64>,
     transfers: Vec<u64>,
     stalls: Vec<u64>,
-    /// Units awaiting a full (re-)evaluation because a *valid/data*
-    /// input changed, one bit per unit. Persists across cycles:
-    /// commit-time unit-state changes seed the next settle.
+    /// Units awaiting (re-)evaluation because an input's valid/data, an
+    /// output's ready or their own state changed, one bit per unit.
+    /// Persists across cycles: commit-time unit-state changes seed the
+    /// next settle.
     dirty: Vec<u64>,
-    /// Units awaiting a ready-only re-evaluation: the only thing that
-    /// changed is some output's `ready`, which (lazy forks aside) can
-    /// move nothing but the unit's own input readies — so these run a
-    /// slim body that skips the datapath and every output write.
-    dirty_r: Vec<u64>,
     /// Channels whose buffer registers changed at the last commit, one
     /// bit per channel; they seed the next settle.
     seed: Vec<u64>,
@@ -123,12 +129,12 @@ pub struct CompiledSim {
     /// Units evaluated during the current settle, one bit per unit; the
     /// commit loop ORs in the program's always-commit mask and drains it.
     evaled: Vec<u64>,
-    /// Fire prediction, one bit per unit: whether the unit's clock-edge
-    /// commit would *act* (change state, touch memory, raise, or report
-    /// progress) given the currently settled signals and current state.
-    /// Every evaluation (full or ready-only) of a stateful unit refreshes
-    /// its bit; stateless units never set theirs. The commit scan ANDs
-    /// this in, so no-op commits are never visited at all.
+    /// Fire mask, one bit per unit: clear only if the unit's clock-edge
+    /// commit cannot *act* (change state, touch memory, raise, or report
+    /// progress) on the currently settled signals and current state.
+    /// Every evaluation of a stateful unit refreshes its bit; stateless
+    /// units never set theirs. The commit scan ANDs this in, so idle
+    /// commits are never visited at all.
     fire: Vec<u64>,
     /// Channels currently in [`PAT_XFER`]; nonzero means tokens are
     /// moving even in cycles where no register changes state.
@@ -244,7 +250,6 @@ impl CompiledSim {
             transfers: vec![0; nc],
             stalls: vec![0; nc],
             dirty: vec![0; words(nu)],
-            dirty_r: vec![0; words(nu)],
             seed: vec![0; words(nc)],
             ch_commit: vec![0; words(nc)],
             evaled: vec![0; words(nu)],
@@ -256,11 +261,6 @@ impl CompiledSim {
             exit_value: None,
             prog,
         }
-    }
-
-    /// The shared program this instance executes.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.prog
     }
 
     /// Sets the value of kernel argument `index` (before running).
@@ -385,12 +385,6 @@ impl CompiledSim {
     }
 
     #[inline(always)]
-    fn mark_unit_r(&mut self, u: usize) {
-        debug_assert!(u >> 6 < self.dirty_r.len());
-        unsafe { *self.dirty_r.get_unchecked_mut(u >> 6) |= 1u64 << (u & 63) };
-    }
-
-    #[inline(always)]
     fn mark_seed(&mut self, c: usize) {
         debug_assert!(c >> 6 < self.seed.len());
         unsafe { *self.seed.get_unchecked_mut(c >> 6) |= 1u64 << (c & 63) };
@@ -504,13 +498,13 @@ impl CompiledSim {
             match self.chan(c).spec {
                 SPEC_NONE => {
                     self.chan_mut(c).r_src = ready;
-                    self.mark_unit_r(self.chan(c).src_unit as usize);
+                    self.mark_unit(self.chan(c).src_unit as usize);
                 }
                 SPEC_OPAQUE => {
                     let rs = !self.chan(c).oehb_vld || ready;
                     if rs != self.chan(c).r_src {
                         self.chan_mut(c).r_src = rs;
-                        self.mark_unit_r(self.chan(c).src_unit as usize);
+                        self.mark_unit(self.chan(c).src_unit as usize);
                     }
                 }
                 _ => {}
@@ -520,10 +514,9 @@ impl CompiledSim {
 
     /// Derives a channel's signals and marks its endpoint units dirty if
     /// anything downstream-visible changed — the consumer for a
-    /// valid/data move, the producer (ready-only) for a `ready_src`
-    /// move. Any derived change also puts the channel on the commit
-    /// list — `ready_src` feeds the handshake pattern the lazy counters
-    /// track.
+    /// valid/data move, the producer for a `ready_src` move. Any derived
+    /// change also puts the channel on the commit list — `ready_src` feeds
+    /// the handshake pattern the lazy counters track.
     #[inline]
     fn eval_channel_and_mark(&mut self, c: usize) {
         let ch = *self.chan(c);
@@ -554,7 +547,7 @@ impl CompiledSim {
             self.mark_unit(ch.dst_unit as usize);
         }
         if rs_chg {
-            self.mark_unit_r(ch.src_unit as usize);
+            self.mark_unit(ch.src_unit as usize);
         }
         self.mark_commit(c);
     }
@@ -604,21 +597,18 @@ impl CompiledSim {
         let limit = p.fixpoint_limit;
         let mut evals = 0usize;
         let nw = self.dirty.len();
-        // Two-phase relaxation. Valid/data moves forward through the
-        // netlist and ready moves backward, and (lazy forks aside) a
-        // ready change can only produce more ready changes — so each
-        // round first runs full evaluations ascending (following
-        // valid/data downstream), then slim ready-only bodies descending
-        // (following ready upstream). The schedule only affects how fast
-        // the unique fixpoint is reached, never which one.
+        // Drain the dirty words ascending, which follows valid/data
+        // downstream, and repeat while evaluations have re-dirtied words
+        // already drained (a ready moving upstream, a back edge). The
+        // schedule only affects how fast the unique fixpoint is reached,
+        // never which one.
         loop {
             for wi in 0..nw {
                 // Drain the word in snapshots: take every pending bit at
-                // once, batch the `evaled`/`dirty_r` bookkeeping, and walk
-                // the snapshot from a register. Evaluations may re-dirty
-                // bits in this same word (including lower ones); the outer
-                // re-read catches them. The settle fixpoint is unique, so
-                // the visit order only affects convergence speed.
+                // once, batch the `evaled` bookkeeping, and walk the
+                // snapshot from a register. Evaluations may re-dirty bits
+                // in this same word (including lower ones); the re-read
+                // catches them.
                 // In-bounds: `wi` is bounded by the vecs' own lengths; the
                 // checked forms would re-test on every iteration because
                 // `eval_unit` takes `&mut self`.
@@ -628,9 +618,6 @@ impl CompiledSim {
                         break;
                     }
                     unsafe { *self.dirty.get_unchecked_mut(wi) = 0 };
-                    // A full evaluation recomputes the input readies too:
-                    // drop any pending ready-only wakes for these units.
-                    unsafe { *self.dirty_r.get_unchecked_mut(wi) &= !bits };
                     unsafe { *self.evaled.get_unchecked_mut(wi) |= bits };
                     evals += bits.count_ones() as usize;
                     if evals > limit {
@@ -644,41 +631,7 @@ impl CompiledSim {
                     }
                 }
             }
-            for k in 0..nw {
-                let wi = nw - 1 - k;
-                loop {
-                    // Skip units that also have a full wake pending: the
-                    // next round's full phase subsumes the slim body.
-                    let bits =
-                        unsafe { *self.dirty_r.get_unchecked(wi) & !*self.dirty.get_unchecked(wi) };
-                    if bits == 0 {
-                        break;
-                    }
-                    unsafe { *self.dirty_r.get_unchecked_mut(wi) &= !bits };
-                    unsafe { *self.evaled.get_unchecked_mut(wi) |= bits };
-                    evals += bits.count_ones() as usize;
-                    if evals > limit {
-                        return Err(SimError::NoFixpoint);
-                    }
-                    let mut rem = bits;
-                    while rem != 0 {
-                        let b = 63 - rem.leading_zeros() as usize;
-                        rem &= !(1u64 << b);
-                        self.eval_unit_ready(p, (wi << 6) + b);
-                    }
-                }
-            }
-            // Full-phase evaluations can re-dirty lower words they already
-            // drained, and ready-phase evaluations can re-wake higher ones
-            // (back edges) — one combined scan decides whether another
-            // round is needed, instead of paying a full empty dual-phase
-            // confirmation pass.
-            let mut pending = 0u64;
-            for wi in 0..nw {
-                pending |=
-                    unsafe { *self.dirty.get_unchecked(wi) | *self.dirty_r.get_unchecked(wi) };
-            }
-            if pending == 0 {
+            if self.dirty.iter().all(|&w| w == 0) {
                 break;
             }
         }
@@ -708,34 +661,9 @@ impl CompiledSim {
     /// indices are hoisted out of `ports` once per body, and the
     /// "all-other-inputs valid" products are derived from an invalid
     /// count instead of a quadratic rescan.
-    /// Predicts whether a pipe's clock-edge commit would act on the
-    /// currently settled signals: the commit shifts stages (and rewrites
-    /// the head from `alu`, valid or not) whenever `en`, and reports
-    /// progress when any post-shift stage holds a token. Channel signals
-    /// and unit state are frozen between settle and commit, and `alu`
-    /// reads only channel data, so this is exact — a `false` here proves
-    /// the commit is a no-op.
-    fn pipe_fire(&self, p: &Program, i: &Instr, en: bool, all: bool) -> bool {
-        if !en {
-            return false;
-        }
-        let lat = i.lat as usize;
-        let sb0 = i.sb as usize;
-        let sw0 = i.sw as usize;
-        // Token entering, or any token in a stage that survives the shift.
-        let mut act = all;
-        for k in 1..lat {
-            act |= self.sbit(sb0 + k - 1)
-                || self.sbit(sb0 + k) != self.sbit(sb0 + k - 1)
-                || self.sword(sw0 + k) != self.sword(sw0 + k - 1);
-        }
-        act || self.sbit(sb0) != all || self.sword(sw0) != self.alu(p, i)
-    }
-
     fn eval_unit(&mut self, p: &Program, u: usize) {
         debug_assert!(u < p.instrs.len());
         let i = unsafe { p.instrs.get_unchecked(u) };
-        let ins = i.ins as usize;
         match i.op {
             Op::Entry => {
                 let fired = self.sbit(i.sb as usize);
@@ -907,7 +835,7 @@ impl CompiledSim {
                 }
                 let any = grant != usize::MAX;
                 let dout = if any {
-                    self.chan(p.ports[ins + grant] as usize).d_dst
+                    self.chan(cin(p, i, grant)).d_dst
                 } else {
                     0
                 };
@@ -919,32 +847,30 @@ impl CompiledSim {
                 }
             }
             Op::CMerge => {
-                // Control merges are two-input by construction (the done
-                // flags are a fixed pair); straight-line form of the
-                // latched-grant-outranks-combinational rule.
-                let ci0 = i.c_in0 as usize;
-                let ci1 = i.c_in1 as usize;
+                // The `Merge` grant over every input, except that a
+                // latched grant outranks it until both outputs (the done
+                // flags are a fixed pair) have fired.
+                let n = i.nin as usize;
                 let sb0 = i.sb as usize;
                 let done0 = self.sbit(sb0);
                 let done1 = self.sbit(sb0 + 1);
                 let raw = self.sword(i.sw as usize);
-                let v0 = self.chan(ci0).v_dst;
-                let v1 = self.chan(ci1).v_dst;
-                let (any, g) = if raw != 0 {
-                    (true, (raw - 1) as usize)
-                } else if v1 {
-                    (true, 1)
-                } else if v0 {
-                    (true, 0)
+                let mut grant = usize::MAX;
+                if raw != 0 {
+                    grant = (raw - 1) as usize;
                 } else {
-                    (false, 0)
-                };
-                let dout = if !any {
-                    0
-                } else if g == 1 {
-                    self.chan(ci1).d_dst
+                    for k in (0..n).rev() {
+                        if self.chan(cin(p, i, k)).v_dst {
+                            grant = k;
+                            break;
+                        }
+                    }
+                }
+                let any = grant != usize::MAX;
+                let (g, dout) = if any {
+                    (grant, self.chan(cin(p, i, grant)).d_dst)
                 } else {
-                    self.chan(ci0).d_dst
+                    (0, 0)
                 };
                 let c0 = i.c_out0 as usize;
                 let c1 = cout(p, i, 1);
@@ -953,8 +879,9 @@ impl CompiledSim {
                 self.set_out(c0, any && !done0, dout);
                 self.set_out(c1, any && !done1, g as u64);
                 let fire_ready = (done0 || r0) && (done1 || r1);
-                self.set_ready(ci0, any && g == 0 && fire_ready);
-                self.set_ready(ci1, any && g == 1 && fire_ready);
+                for k in 0..n {
+                    self.set_ready(cin(p, i, k), any && g == k && fire_ready);
+                }
                 // Idle (no grant, no done flag, no latch) commits are
                 // no-ops; anything pending may move state.
                 self.set_fire(u, any || done0 || done1);
@@ -1070,8 +997,10 @@ impl CompiledSim {
                     let others = ninv == 0 || (ninv == 1 && inv == k);
                     self.set_ready(cin(p, i, k), en && others);
                 }
-                let fire = self.pipe_fire(p, i, en, ninv == 0);
-                self.set_fire(u, fire);
+                // The enable, as for the memory ports: a commit acts only
+                // when enabled, and an enabled one with nothing to move
+                // rewrites the values it holds.
+                self.set_fire(u, en);
             }
             Op::Load => {
                 let v = self.sbit(i.sb as usize);
@@ -1097,244 +1026,6 @@ impl CompiledSim {
                 let rout = self.chan(co).r_src;
                 let en = rout || !v;
                 self.set_out(co, v, 0);
-                self.set_ready(ca, en && vd);
-                self.set_ready(cd, en && va);
-                self.set_fire(u, en && ((va && vd) || v));
-            }
-        }
-    }
-
-    /// Ready-only re-evaluation: the unit woke up because an output's
-    /// `ready` moved, and nothing else. For every operator except the
-    /// lazy fork, output valid/data are functions of input valids, data
-    /// and unit state alone — all unchanged — so this recomputes and
-    /// writes only the unit's *input* readies, skipping the datapath
-    /// (`alu`) and every `set_out`. Each arm is the literal ready half
-    /// of the matching [`CompiledSim::eval_unit`] arm; keep them in
-    /// lockstep. The engine-equivalence suite exercises this pairing on
-    /// every kernel and proptest.
-    fn eval_unit_ready(&mut self, p: &Program, u: usize) {
-        debug_assert!(u < p.instrs.len());
-        let i = unsafe { p.instrs.get_unchecked(u) };
-        match i.op {
-            // Source outputs ignore downstream ready entirely (and it
-            // has no inputs); Exit and Sink have no outputs, so a ready
-            // wake cannot reach them. Entry's outputs likewise ignore
-            // ready, but its *fire* bit tracks the output's ready.
-            Op::Source | Op::Exit | Op::Sink => {}
-            Op::Entry => {
-                let fired = self.sbit(i.sb as usize);
-                let rs = self.chan(cout(p, i, 0)).r_src;
-                self.set_fire(u, !fired && rs);
-            }
-            Op::Const => {
-                let r = self.chan(cout(p, i, 0)).r_src;
-                self.set_ready(cin(p, i, 0), r);
-            }
-            Op::Fork2 => {
-                let sb0 = i.sb as usize;
-                let d0 = self.sbit(sb0);
-                let d1 = self.sbit(sb0 + 1);
-                let r0 = self.chan(i.c_out0 as usize).r_src;
-                let r1 = self.chan(pt(p, i.outs as usize + 1)).r_src;
-                self.set_ready(i.c_in0 as usize, (d0 || r0) && (d1 || r1));
-            }
-            Op::Fork => {
-                let n = i.nout as usize;
-                let sb0 = i.sb as usize;
-                let mut all = true;
-                for k in 0..n {
-                    all &= self.sbit(sb0 + k) || self.chan(cout(p, i, k)).r_src;
-                }
-                self.set_ready(cin(p, i, 0), all);
-            }
-            // A lazy fork's output valids *do* depend on its outputs'
-            // readies — the one coupling from the ready phase back into
-            // the valid phase. Run the full body.
-            Op::LazyFork => self.eval_unit(p, u),
-            Op::Join2 => {
-                let c0 = i.c_in0 as usize;
-                let c1 = i.c_in1 as usize;
-                let v0 = self.chan(c0).v_dst;
-                let v1 = self.chan(c1).v_dst;
-                let rout = self.chan(i.c_out0 as usize).r_src;
-                self.set_ready(c0, rout && v1);
-                self.set_ready(c1, rout && v0);
-            }
-            Op::Join => {
-                let n = i.nin as usize;
-                let mut ninv = 0usize;
-                let mut inv = usize::MAX;
-                for k in 0..n {
-                    if !self.chan(cin(p, i, k)).v_dst {
-                        ninv += 1;
-                        inv = k;
-                    }
-                }
-                let rout = self.chan(cout(p, i, 0)).r_src;
-                for k in 0..n {
-                    let others = ninv == 0 || (ninv == 1 && inv == k);
-                    self.set_ready(cin(p, i, k), rout && others);
-                }
-            }
-            Op::Branch => {
-                let cd = cin(p, i, 0);
-                let cc = cin(p, i, 1);
-                let vd = self.chan(cd).v_dst;
-                let vc = self.chan(cc).v_dst;
-                let cond = self.chan(cc).d_dst & 1 != 0;
-                let rt = self.chan(cout(p, i, 0)).r_src;
-                let rf = self.chan(cout(p, i, 1)).r_src;
-                let sel_ready = if cond { rt } else { rf };
-                self.set_ready(cd, vc && sel_ready);
-                self.set_ready(cc, vd && sel_ready);
-            }
-            Op::Merge2 => {
-                let c0 = i.c_in0 as usize;
-                let c1 = i.c_in1 as usize;
-                let v0 = self.chan(c0).v_dst;
-                let v1 = self.chan(c1).v_dst;
-                let r0 = self.chan(i.c_out0 as usize).r_src;
-                self.set_ready(c0, !v1 && v0 && r0);
-                self.set_ready(c1, v1 && r0);
-            }
-            Op::Merge => {
-                let n = i.nin as usize;
-                let mut grant = usize::MAX;
-                for k in (0..n).rev() {
-                    if self.chan(cin(p, i, k)).v_dst {
-                        grant = k;
-                        break;
-                    }
-                }
-                let r0 = self.chan(cout(p, i, 0)).r_src;
-                for k in 0..n {
-                    self.set_ready(cin(p, i, k), grant == k && r0);
-                }
-            }
-            Op::CMerge => {
-                let ci0 = i.c_in0 as usize;
-                let ci1 = i.c_in1 as usize;
-                let sb0 = i.sb as usize;
-                let done0 = self.sbit(sb0);
-                let done1 = self.sbit(sb0 + 1);
-                let raw = self.sword(i.sw as usize);
-                let v0 = self.chan(ci0).v_dst;
-                let v1 = self.chan(ci1).v_dst;
-                let (any, g) = if raw != 0 {
-                    (true, (raw - 1) as usize)
-                } else if v1 {
-                    (true, 1)
-                } else if v0 {
-                    (true, 0)
-                } else {
-                    (false, 0)
-                };
-                let r0 = self.chan(i.c_out0 as usize).r_src;
-                let r1 = self.chan(cout(p, i, 1)).r_src;
-                let fire_ready = (done0 || r0) && (done1 || r1);
-                self.set_ready(ci0, any && g == 0 && fire_ready);
-                self.set_ready(ci1, any && g == 1 && fire_ready);
-                // Idle (no grant, no done flag, no latch) commits are
-                // no-ops; anything pending may move state.
-                self.set_fire(u, any || done0 || done1);
-            }
-            Op::Mux2 => {
-                let cs = i.c_in0 as usize;
-                let ca = i.c_in1 as usize;
-                let cb = pt(p, i.ins as usize + 2);
-                let vs = self.chan(cs).v_dst;
-                let sel = self.chan(cs).d_dst as usize;
-                let rout = self.chan(i.c_out0 as usize).r_src;
-                let hit0 = vs && sel == 0;
-                let hit1 = vs && sel == 1;
-                let vout = (hit0 && self.chan(ca).v_dst) || (hit1 && self.chan(cb).v_dst);
-                self.set_ready(ca, hit0 && rout);
-                self.set_ready(cb, hit1 && rout);
-                self.set_ready(cs, vout && rout);
-            }
-            Op::Mux => {
-                let n = i.nin as usize - 1;
-                let cs = cin(p, i, 0);
-                let vs = self.chan(cs).v_dst;
-                let sel = self.chan(cs).d_dst as usize;
-                let rout = self.chan(cout(p, i, 0)).r_src;
-                let mut vout = false;
-                for k in 0..n {
-                    let c = cin(p, i, k + 1);
-                    let hit = vs && sel == k;
-                    vout |= hit && self.chan(c).v_dst;
-                    self.set_ready(c, hit && rout);
-                }
-                self.set_ready(cs, vout && rout);
-            }
-            Op::Comb1 => {
-                let rout = self.chan(i.c_out0 as usize).r_src;
-                self.set_ready(i.c_in0 as usize, rout);
-            }
-            Op::Comb2 => {
-                let c0 = i.c_in0 as usize;
-                let c1 = i.c_in1 as usize;
-                let v0 = self.chan(c0).v_dst;
-                let v1 = self.chan(c1).v_dst;
-                let rout = self.chan(i.c_out0 as usize).r_src;
-                self.set_ready(c0, rout && v1);
-                self.set_ready(c1, rout && v0);
-            }
-            Op::Comb => {
-                let n = i.nin as usize;
-                let mut ninv = 0usize;
-                let mut inv = usize::MAX;
-                for k in 0..n {
-                    if !self.chan(cin(p, i, k)).v_dst {
-                        ninv += 1;
-                        inv = k;
-                    }
-                }
-                let rout = self.chan(cout(p, i, 0)).r_src;
-                for k in 0..n {
-                    let others = ninv == 0 || (ninv == 1 && inv == k);
-                    self.set_ready(cin(p, i, k), rout && others);
-                }
-            }
-            Op::Pipe => {
-                let n = i.nin as usize;
-                let last = i.lat as usize - 1;
-                let last_v = self.sbit(i.sb as usize + last);
-                let rout = self.chan(cout(p, i, 0)).r_src;
-                let en = rout || !last_v;
-                let mut ninv = 0usize;
-                let mut inv = usize::MAX;
-                for k in 0..n {
-                    if !self.chan(cin(p, i, k)).v_dst {
-                        ninv += 1;
-                        inv = k;
-                    }
-                }
-                for k in 0..n {
-                    let others = ninv == 0 || (ninv == 1 && inv == k);
-                    self.set_ready(cin(p, i, k), en && others);
-                }
-                let fire = self.pipe_fire(p, i, en, ninv == 0);
-                self.set_fire(u, fire);
-            }
-            Op::Load => {
-                let v = self.sbit(i.sb as usize);
-                let ci = cin(p, i, 0);
-                let rout = self.chan(cout(p, i, 0)).r_src;
-                let en = rout || !v;
-                self.set_ready(ci, en);
-                let vin = self.chan(ci).v_dst;
-                self.set_fire(u, en && (vin || v));
-            }
-            Op::Store => {
-                let ca = cin(p, i, 0);
-                let cd = cin(p, i, 1);
-                let v = self.sbit(i.sb as usize);
-                let va = self.chan(ca).v_dst;
-                let vd = self.chan(cd).v_dst;
-                let rout = self.chan(cout(p, i, 0)).r_src;
-                let en = rout || !v;
                 self.set_ready(ca, en && vd);
                 self.set_ready(cd, en && va);
                 self.set_fire(u, en && ((va && vd) || v));

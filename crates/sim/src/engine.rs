@@ -23,7 +23,7 @@
 use crate::compile::{CompiledSim, Program};
 use crate::index::AdjIndex;
 use crate::state::{ChanSig, ChanState, UnitState};
-use crate::types::{RunStats, SimError};
+use crate::types::{fixpoint_limit, RunStats, SimError};
 use dataflow::{ChannelId, Graph, MemoryId, UnitId, UnitKind};
 use std::sync::Arc;
 
@@ -325,11 +325,6 @@ impl<'g> Simulator<'g> {
         Ok(())
     }
 
-    /// Per-settle evaluation cap: a worklist that outlives this is cycling.
-    fn fixpoint_limit(&self) -> usize {
-        64 * (self.g.num_units() + self.g.num_channels()) + 64
-    }
-
     /// Sweep settle: every register commit may change any unit's view, so
     /// each cycle starts with all units queued and all channels rederived;
     /// after that, only changes propagate.
@@ -345,7 +340,7 @@ impl<'g> Simulator<'g> {
                 self.mark_dirty(d);
             }
         }
-        let limit = self.fixpoint_limit();
+        let limit = fixpoint_limit(g);
         let mut evals = 0usize;
         while let Some(u) = self.unit_queue.pop() {
             self.dirty_unit[u.index()] = false;

@@ -1,8 +1,8 @@
-//! Error and result types shared by both engines, plus the
-//! small bit-twiddling helpers of the datapath model.
+//! Error and result types shared by both engines, their shared settle
+//! budget, and the small bit-twiddling helpers of the datapath model.
 
 use crate::engine::SimEngine;
-use dataflow::UnitId;
+use dataflow::{Graph, UnitId};
 use std::fmt;
 
 /// Errors produced while constructing a simulator or simulating.
@@ -100,6 +100,13 @@ pub struct RunStats {
     pub cycles: u64,
     /// Payload of the exit token (`None` for width-0 control exits).
     pub exit_value: Option<u64>,
+}
+
+/// Per-settle evaluation budget of `g` in every engine: a settle that
+/// needs more evaluations is cycling ([`SimError::NoFixpoint`]). One
+/// budget keeps `NoFixpoint` engine-invariant.
+pub(crate) fn fixpoint_limit(g: &Graph) -> usize {
+    64 * (g.num_units() + g.num_channels()) + 64
 }
 
 pub(crate) fn mask(width: u16) -> u64 {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Regenerates Table I in release mode and fails on any difference from the
-# committed table1_output.txt in everything table1 prints before its
-# `durations` line: the Table I rows, the per-layer counter tables of both
-# flows, the summary verdicts and the Figure 5 series. Only the wall-clock
-# figures and the job count after that line are not compared. Usage:
+# Regenerates Table I in release mode at --jobs 1 and at --jobs 4 and fails
+# on any difference from the committed table1_output.txt in everything
+# table1 prints before its `durations` line: the Table I rows, the
+# per-layer counter tables of both flows, the summary verdicts and the
+# Figure 5 series. Only the wall-clock figures and the job count after that
+# line are not compared. At --jobs 1 every slack round runs its trials as
+# one lane group; at --jobs 4 they are split across workers. Usage:
 #
 #   ./scripts/check_table1.sh
 set -euo pipefail
@@ -18,21 +20,24 @@ cd "$(dirname "$0")/.."
 expected="table1_output.txt"
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
-cargo run -p frequenz-bench --release --bin table1 > "$out"
-for f in "$expected" "$out"; do
-  if ! grep -q '^durations' "$f"; then
-    echo "$f has no durations line" >&2
-    exit 1
-  fi
-done
+cargo build -p frequenz-bench --release --bin table1
 
 # The deterministic prefix of one table1 stdout.
 counters() {
   sed '/^durations/,$d' "$1"
 }
 
-if ! diff -u <(counters "$expected") <(counters "$out"); then
-  echo "table1 differs from $expected above its durations line" >&2
-  exit 1
-fi
-echo "everything table1 prints before its durations line matches $expected" >&2
+for jobs in 1 4; do
+  ./target/release/table1 --jobs "$jobs" > "$out"
+  for f in "$expected" "$out"; do
+    if ! grep -q '^durations' "$f"; then
+      echo "$f has no durations line (--jobs $jobs)" >&2
+      exit 1
+    fi
+  done
+  if ! diff -u <(counters "$expected") <(counters "$out"); then
+    echo "table1 --jobs $jobs differs from $expected above its durations line" >&2
+    exit 1
+  fi
+  echo "table1 --jobs $jobs matches $expected before its durations line" >&2
+done

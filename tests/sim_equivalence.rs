@@ -7,10 +7,13 @@
 //! multi-lane run ([`sim::CompiledLanes`]) must agree lane by lane with
 //! the single-lane compiled engine — result, cycle, per-channel stalls and
 //! transfers — on random lane sets, failing graphs and the first slack
-//! round of every kernel. The parallel slack-matching pass built on top
-//! must additionally pick identical buffer sets after identical trials and
-//! simulated cycles on either engine and at any job count, on the reduced
-//! and the full-size kernels.
+//! round of every kernel. The unit kinds and arities no kernel builds
+//! (plain merges, sources, lazy forks, and joins, muxes and control
+//! merges with more than two inputs) get one small graph each under both
+//! pins, so every opcode of the compiled engines is covered. The parallel
+//! slack-matching pass built on top must additionally pick identical
+//! buffer sets after identical trials and simulated cycles on either
+//! engine and at any job count, on the reduced and the full-size kernels.
 
 use frequenz::core::{slack_match_traced, FlowTrace, SlackOptions, SynthCache};
 use frequenz::dataflow::{BufferSpec, ChannelId, Graph, OpKind, PortRef, UnitKind};
@@ -544,6 +547,247 @@ fn lanes_agree_with_single_lane_on_kernel_slack_rounds() {
         let (lanes, cap) = first_round(k);
         assert_lanes_match(k.graph(), &[], &lanes, &[cap], k.name);
     }
+}
+
+/// Pins `g` under each argument vector in `arg_sets`: both engines
+/// bit-identical (VCD included), and every single-channel overlay, run as
+/// one lane set, equal lane by lane to its single-lane run. Returns the
+/// oracle's results in `arg_sets` order.
+fn assert_pinned(g: &Graph, arg_sets: &[Vec<u64>], label: &str) -> Vec<Result<RunStats, SimError>> {
+    let lanes = single_channel_lanes(g);
+    arg_sets
+        .iter()
+        .map(|args| {
+            let label = format!("{label} {args:?}");
+            let sweep = assert_engines_identical(g, args, 100, &label);
+            let caps = lane_caps(completion(g, args, 100));
+            assert_lanes_match(g, args, &lanes, &caps, &label);
+            sweep.0
+        })
+        .collect()
+}
+
+/// The exit values of `results`, with every error as `None`.
+fn exit_values(results: &[Result<RunStats, SimError>]) -> Vec<Option<u64>> {
+    results
+        .iter()
+        .map(|r| r.as_ref().ok().and_then(|s| s.exit_value))
+        .collect()
+}
+
+/// `n` arguments into one `Merge` (or `ControlMerge`, its index output
+/// into a sink) that feeds a fork: one copy is compared with a constant 7
+/// that a `Source` triggers, and the comparison steers the other copy to
+/// the exit (equal) or to a sink.
+fn merge_graph(n: u8, control: bool) -> Graph {
+    let mut g = Graph::new("merge");
+    let bb = g.add_basic_block("bb0");
+    let kind = if control {
+        UnitKind::ControlMerge { inputs: n }
+    } else {
+        UnitKind::Merge { inputs: n }
+    };
+    let m = g.add_unit(kind, "m", bb, 8).unwrap();
+    for k in 0..n {
+        let a = g
+            .add_unit(UnitKind::Argument { index: k }, format!("a{k}"), bb, 8)
+            .unwrap();
+        g.connect(PortRef::new(a, 0), PortRef::new(m, k as usize))
+            .unwrap();
+    }
+    if control {
+        let w = g.unit(m).output_spec(1).width;
+        let idx = g.add_unit(UnitKind::Sink, "idx", bb, w).unwrap();
+        g.connect(PortRef::new(m, 1), PortRef::new(idx, 0)).unwrap();
+    }
+    let f = g
+        .add_unit(UnitKind::Fork { outputs: 2 }, "f", bb, 8)
+        .unwrap();
+    let src = g.add_unit(UnitKind::Source, "src", bb, 0).unwrap();
+    let k7 = g
+        .add_unit(UnitKind::Constant { value: 7 }, "k7", bb, 8)
+        .unwrap();
+    let eq = g
+        .add_unit(UnitKind::Operator(OpKind::Eq), "eq", bb, 8)
+        .unwrap();
+    let br = g.add_unit(UnitKind::Branch, "br", bb, 8).unwrap();
+    let x = g.add_unit(UnitKind::Exit, "x", bb, 8).unwrap();
+    let drop = g.add_unit(UnitKind::Sink, "drop", bb, 8).unwrap();
+    for (a, b) in [
+        ((m, 0), (f, 0)),
+        ((src, 0), (k7, 0)),
+        ((f, 0), (eq, 0)),
+        ((k7, 0), (eq, 1)),
+        ((f, 1), (br, 0)),
+        ((eq, 0), (br, 1)),
+        ((br, 0), (x, 0)),
+        ((br, 1), (drop, 0)),
+    ] {
+        g.connect(PortRef::new(a.0, a.1), PortRef::new(b.0, b.1))
+            .unwrap();
+    }
+    g.validate().unwrap();
+    g
+}
+
+/// The argument vectors every merge graph of `n` inputs runs under: the
+/// 7 on the lowest-priority input (every token passes before the exit),
+/// on the highest (the exit comes first), and nowhere (a deadlock).
+fn merge_args(n: u8) -> [Vec<u64>; 3] {
+    let others = (1..n as u64).collect::<Vec<_>>();
+    let last = std::iter::once(7).chain(others.iter().copied()).collect();
+    let first = others.iter().copied().chain(std::iter::once(7)).collect();
+    let none = std::iter::once(9).chain(others).collect();
+    [last, first, none]
+}
+
+/// Plain merges (`Merge2` and the generic arm), sources and the constant
+/// they trigger: no kernel builds them. Highest-index priority puts the
+/// lowest input's 7 last, `n` cycles in.
+#[test]
+fn plain_merges_and_sources_are_pinned() {
+    for n in [2u8, 3, 4] {
+        let g = merge_graph(n, false);
+        let got = assert_pinned(&g, &merge_args(n), &format!("merge{n}"));
+        assert_eq!(exit_values(&got), [Some(7), Some(7), None], "merge{n}");
+        assert_eq!(got[0].as_ref().map(|s| s.cycles), Ok(n as u64), "merge{n}");
+        assert!(matches!(got[2], Err(SimError::Deadlock { .. })), "merge{n}");
+    }
+}
+
+/// Control merges with two, three and four inputs grant the highest valid
+/// input, as plain merges do; three always-valid sources into a
+/// three-input control merge exit with index 2 after one cycle.
+#[test]
+fn wide_control_merges_are_pinned() {
+    for n in [2u8, 3, 4] {
+        let g = merge_graph(n, true);
+        let got = assert_pinned(&g, &merge_args(n), &format!("cmerge{n}"));
+        assert_eq!(exit_values(&got), [Some(7), Some(7), None], "cmerge{n}");
+        assert_eq!(got[0].as_ref().map(|s| s.cycles), Ok(n as u64), "cmerge{n}");
+    }
+    let mut g = Graph::new("sources");
+    let bb = g.add_basic_block("bb0");
+    let cm = g
+        .add_unit(UnitKind::ControlMerge { inputs: 3 }, "cm", bb, 0)
+        .unwrap();
+    for k in 0..3 {
+        let s = g
+            .add_unit(UnitKind::Source, format!("s{k}"), bb, 0)
+            .unwrap();
+        g.connect(PortRef::new(s, 0), PortRef::new(cm, k)).unwrap();
+    }
+    let sk = g.add_unit(UnitKind::Sink, "sk", bb, 0).unwrap();
+    let w = g.unit(cm).output_spec(1).width;
+    let x = g.add_unit(UnitKind::Exit, "x", bb, w).unwrap();
+    g.connect(PortRef::new(cm, 0), PortRef::new(sk, 0)).unwrap();
+    g.connect(PortRef::new(cm, 1), PortRef::new(x, 0)).unwrap();
+    g.validate().unwrap();
+    let got = assert_pinned(&g, &[vec![]], "sources");
+    assert_eq!(
+        got[0],
+        Ok(RunStats {
+            cycles: 1,
+            exit_value: Some(2)
+        })
+    );
+}
+
+/// The two lazy-fork graphs of the sim crate's operator tests: a lazy
+/// fork into the exit and a sink delivers its token; one into both inputs
+/// of an adder couples ready into valid and deadlocks.
+#[test]
+fn lazy_forks_are_pinned() {
+    for into_join in [false, true] {
+        let mut g = Graph::new("lf");
+        let bb = g.add_basic_block("bb0");
+        let a = g
+            .add_unit(UnitKind::Argument { index: 0 }, "a", bb, 8)
+            .unwrap();
+        let lf = g
+            .add_unit(UnitKind::LazyFork { outputs: 2 }, "lf", bb, 8)
+            .unwrap();
+        let x = g.add_unit(UnitKind::Exit, "x", bb, 8).unwrap();
+        g.connect(PortRef::new(a, 0), PortRef::new(lf, 0)).unwrap();
+        if into_join {
+            let add = g
+                .add_unit(UnitKind::Operator(OpKind::Add), "add", bb, 8)
+                .unwrap();
+            g.connect(PortRef::new(lf, 0), PortRef::new(add, 0))
+                .unwrap();
+            g.connect(PortRef::new(lf, 1), PortRef::new(add, 1))
+                .unwrap();
+            g.connect(PortRef::new(add, 0), PortRef::new(x, 0)).unwrap();
+        } else {
+            let sk = g.add_unit(UnitKind::Sink, "sk", bb, 8).unwrap();
+            g.connect(PortRef::new(lf, 0), PortRef::new(x, 0)).unwrap();
+            g.connect(PortRef::new(lf, 1), PortRef::new(sk, 0)).unwrap();
+        }
+        g.validate().unwrap();
+        let got = assert_pinned(&g, &[vec![42]], "lazy fork");
+        if into_join {
+            assert!(matches!(got[0], Err(SimError::Deadlock { .. })));
+        } else {
+            assert_eq!(exit_values(&got), [Some(42)]);
+        }
+    }
+}
+
+/// The generic `Join` and `Mux` arms: a three-input join of an entry, a
+/// source and a constant whose trigger crosses an opaque buffer, so the
+/// join waits one cycle on its last input alone; and a three-way mux whose
+/// select comes from argument 0 (select 3 matches no input and deadlocks).
+#[test]
+fn wide_joins_and_muxes_are_pinned() {
+    let mut g = Graph::new("join3");
+    let bb = g.add_basic_block("bb0");
+    let j = g.add_unit(UnitKind::join(3), "j", bb, 0).unwrap();
+    let e0 = g.add_unit(UnitKind::Entry, "e0", bb, 0).unwrap();
+    let src = g.add_unit(UnitKind::Source, "src", bb, 0).unwrap();
+    let e1 = g.add_unit(UnitKind::Entry, "e1", bb, 0).unwrap();
+    let late = g
+        .add_unit(UnitKind::Constant { value: 0 }, "late", bb, 0)
+        .unwrap();
+    let x = g.add_unit(UnitKind::Exit, "x", bb, 0).unwrap();
+    let trigger = g
+        .connect(PortRef::new(e1, 0), PortRef::new(late, 0))
+        .unwrap();
+    g.set_buffer(trigger, BufferSpec::OPAQUE);
+    for (k, u) in [e0, src, late].into_iter().enumerate() {
+        g.connect(PortRef::new(u, 0), PortRef::new(j, k)).unwrap();
+    }
+    g.connect(PortRef::new(j, 0), PortRef::new(x, 0)).unwrap();
+    g.validate().unwrap();
+    let got = assert_pinned(&g, &[vec![]], "join3");
+    assert_eq!(got[0].as_ref().map(|s| s.cycles), Ok(2));
+
+    let mut g = Graph::new("mux3");
+    let bb = g.add_basic_block("bb0");
+    let mux = g.add_unit(UnitKind::mux(3), "mux", bb, 8).unwrap();
+    let w = g.unit(mux).input_spec(0).width;
+    let sel = g
+        .add_unit(UnitKind::Argument { index: 0 }, "sel", bb, w)
+        .unwrap();
+    g.connect(PortRef::new(sel, 0), PortRef::new(mux, 0))
+        .unwrap();
+    for k in 1..4u8 {
+        let a = g
+            .add_unit(UnitKind::Argument { index: k }, format!("d{k}"), bb, 8)
+            .unwrap();
+        g.connect(PortRef::new(a, 0), PortRef::new(mux, k as usize))
+            .unwrap();
+    }
+    let x = g.add_unit(UnitKind::Exit, "x", bb, 8).unwrap();
+    g.connect(PortRef::new(mux, 0), PortRef::new(x, 0)).unwrap();
+    g.validate().unwrap();
+    let sets: Vec<Vec<u64>> = (0..4).map(|s| vec![s, 10, 11, 12]).collect();
+    let got = assert_pinned(&g, &sets, "mux3");
+    assert_eq!(
+        exit_values(&got),
+        [Some(10), Some(11), Some(12), None],
+        "mux3"
+    );
+    assert!(matches!(got[3], Err(SimError::Deadlock { .. })));
 }
 
 /// Feeding an unvalidated graph (dangling ports) must yield a structured
