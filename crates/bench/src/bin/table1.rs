@@ -4,18 +4,27 @@
 //! levels, and the improvement ratios.
 //!
 //! ```sh
-//! cargo run -p frequenz-bench --release --bin table1 -- [--jobs N]
+//! cargo run -p frequenz-bench --release --bin table1 -- [--jobs N] \
+//!     [--target N] [--lut-k N] [--max-iterations N] \
+//!     [--no-penalties] [--no-slack-matching] [--area-only]
 //! ```
+//!
+//! With no flags it runs the paper's operating point (6 levels, K = 6).
+//! The other flags move the operating point or switch one mechanism of
+//! the flows off, for the target sweep and the ablations in
+//! EXPERIMENTS.md; the header line names every setting off its default.
+//! A malformed command line exits with code 2 before any flow runs.
 //!
 //! Kernels run in parallel (`--jobs`, default: all cores). Everything
 //! deterministic is printed first: Table I, one counter table per layer
 //! for both flows, the summary verdicts and the Figure 5 series. A line
 //! starting with `durations` then opens the wall-clock figures and the
 //! job count, the only output that differs between runs and job counts;
-//! `scripts/check_table1.sh` pins every line above it.
+//! `scripts/check_table1.sh` pins every line above it at targets 6, 4
+//! and 8.
 
-use frequenz_bench::{compare_kernels, jobs_from_args, CompareError, KernelComparison};
-use frequenz_core::{FlowOptions, FlowTrace};
+use frequenz_bench::{compare_kernels, flow_options_from_args, CompareError, KernelComparison};
+use frequenz_core::{FlowOptions, FlowTrace, Objective};
 use std::time::Duration;
 
 /// Prints `lines` under `title` and a `header` of whitespace-separated
@@ -86,15 +95,15 @@ fn counts<const N: usize>(values: [u64; N]) -> Vec<String> {
     values.iter().map(u64::to_string).collect()
 }
 
-/// Compares the nine evaluation kernels on `jobs` threads, prints Table I
-/// and returns the comparisons. Rows are in kernel order no matter the job
-/// count.
+/// Compares the nine evaluation kernels on `opts.jobs` threads, prints
+/// Table I and returns the comparisons. Rows are in kernel order no matter
+/// the job count.
 ///
 /// # Errors
 ///
 /// Propagates the first (in kernel order) kernel failure.
-fn run_table1_jobs(opts: &FlowOptions, jobs: usize) -> Result<Vec<KernelComparison>, CompareError> {
-    let rows = compare_kernels(&hls::kernels::all_kernels(), opts, jobs)?;
+fn run_table1_jobs(opts: &FlowOptions) -> Result<Vec<KernelComparison>, CompareError> {
+    let rows = compare_kernels(&hls::kernels::all_kernels(), opts)?;
     println!(
         "{:<15} | {:>6} {:>6} | {:>8} {:>8} | {:>9} {:>9} {:>6} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6} | {:>5} {:>5} | {:>5}",
         "Benchmark", "CP(P)", "CP(I)", "Cyc(P)", "Cyc(I)", "ET(P)", "ET(I)", "ET%",
@@ -282,25 +291,40 @@ fn print_durations(rows: &[KernelComparison], jobs: usize, total: Duration) {
     );
 }
 
-fn main() -> Result<(), CompareError> {
-    let jobs = jobs_from_args();
-    // One knob drives both pools: kernels compare in parallel *and* each
-    // flow's synthesis/slack lanes use the same worker width. Branch and
-    // bound sizes its node-LP pool from the CPU mask instead, so `--jobs 1`
-    // is not single-threaded on a multi-core host. Results are
-    // bit-identical at any job count, so this only trades wall clock.
-    let opts = FlowOptions {
-        jobs,
-        ..FlowOptions::default()
-    };
-    println!(
+/// The header line: the operating point, then each flow switch that is
+/// off its default. The job count is left to the durations line.
+fn header(opts: &FlowOptions) -> String {
+    let mut line = format!(
         "Table I reproduction — target {} logic levels (CP ≈ {:.1} ns), K = {}",
         opts.target_levels,
         opts.target_levels as f64 * dataflow::LOGIC_LEVEL_DELAY_NS,
         opts.k
     );
+    if opts.max_iterations != FlowOptions::default().max_iterations {
+        line += &format!(", iteration cap {}", opts.max_iterations);
+    }
+    if !opts.use_penalties {
+        line += ", no penalties";
+    }
+    if !opts.slack_matching {
+        line += ", no slack matching";
+    }
+    if opts.objective == Objective::AreaOnly {
+        line += ", area-only objective";
+    }
+    line
+}
+
+fn main() -> Result<(), CompareError> {
+    // One knob drives both pools: kernels compare in parallel *and* each
+    // flow's synthesis/slack lanes use the same worker width. Branch and
+    // bound sizes its node-LP pool from the CPU mask instead, so `--jobs 1`
+    // is not single-threaded on a multi-core host. Results are
+    // bit-identical at any job count, so this only trades wall clock.
+    let opts = flow_options_from_args();
+    println!("{}", header(&opts));
     let t0 = std::time::Instant::now();
-    let rows = run_table1_jobs(&opts, jobs)?;
+    let rows = run_table1_jobs(&opts)?;
     let total = t0.elapsed();
     print_counters(&rows);
     print_summary(&rows, &opts);
@@ -317,6 +341,6 @@ fn main() -> Result<(), CompareError> {
         );
     }
 
-    print_durations(&rows, jobs, total);
+    print_durations(&rows, opts.jobs, total);
     Ok(())
 }

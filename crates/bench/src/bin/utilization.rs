@@ -5,6 +5,8 @@
 //! ```sh
 //! cargo run -p frequenz-bench --release --bin utilization [kernel]
 //! ```
+//!
+//! `kernel` is any Table I kernel at its Table I size (default: gsumif).
 
 use frequenz_core::{
     optimize_baseline_with_cache, optimize_iterative_with_cache, utilization, FlowOptions,
@@ -13,12 +15,11 @@ use frequenz_core::{
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "gsumif".into());
-    let kernel = match name.as_str() {
-        "gsum" => hls::kernels::gsum(64),
-        "gsumif" => hls::kernels::gsumif(64),
-        "matrix" => hls::kernels::matrix(6),
-        "mvt" => hls::kernels::mvt(6),
-        other => return Err(format!("unsupported kernel {other}").into()),
+    let Some(kernel) = hls::kernels::all_kernels()
+        .into_iter()
+        .find(|k| k.name == name)
+    else {
+        return Err(format!("unsupported kernel {name}").into());
     };
     let opts = FlowOptions::default();
     // One cache across both flows: the breakdown's re-syntheses of the

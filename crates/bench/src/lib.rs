@@ -1,16 +1,20 @@
-//! Benchmark harness: the shared Prev-vs-Iter comparison runner and the
-//! `--jobs` parser used by the table regeneration binaries (`table1` and
-//! the ablations; `utilization` takes a kernel name instead).
+//! Benchmark harness: the shared Prev-vs-Iter comparison runner behind
+//! `table1`, and the parser of its flags (`utilization` takes a kernel
+//! name instead).
 //!
-//! Comparisons run **in parallel** across kernels ([`dataflow::par::map`],
-//! `--jobs N` in every binary) with a per-kernel [`SynthCache`] shared by
-//! the baseline flow, the iterative flow and the final measurements, so
-//! structurally repeated syntheses are served from memory. Row order is
-//! deterministic — the kernel list order — regardless of the job count.
+//! `table1` runs Table I at any operating point: `--target N`,
+//! `--lut-k N` and `--max-iterations N` move it, and `--no-penalties`,
+//! `--no-slack-matching` and `--area-only` switch one mechanism off
+//! ([`flow_options_from_args`]). Comparisons run **in parallel** across
+//! kernels ([`dataflow::par::map`], `--jobs N`) with a per-kernel
+//! [`SynthCache`] shared by the baseline flow, the iterative flow and the
+//! final measurements, so structurally repeated syntheses are served from
+//! memory. Row order is deterministic — the kernel list order —
+//! regardless of the job count.
 
 use frequenz_core::{
     measure_traced, optimize_baseline_with_cache, optimize_iterative_with_cache, CircuitReport,
-    FlowOptions, FlowResult, FlowTrace, SimStats, SynthCache,
+    FlowOptions, FlowResult, FlowTrace, Objective, SimStats, SynthCache,
 };
 use hls::Kernel;
 use sim::{SimEngine, Simulator};
@@ -77,50 +81,72 @@ impl KernelComparison {
 /// parallel runner's thread boundary).
 pub type CompareError = Box<dyn std::error::Error + Send + Sync>;
 
-/// Parses `--jobs N` (or `-j N`, `--jobs=N`) from the process arguments;
-/// defaults to the machine's available parallelism. A malformed or zero
-/// job count prints the reason and exits with code 2: the worker pools
-/// need at least one thread, as [`FlowOptions::validate`] requires.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_jobs(&args) {
-        Ok(n) => n.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
+/// The validated [`FlowOptions`] of the process's command line: `table1`'s
+/// flags. Unset fields keep their defaults, except `jobs`, which defaults
+/// to the machine's available parallelism.
+///
+/// The numeric flags take `FLAG N` or `FLAG=N`: `--jobs` (or `-j`),
+/// `--target`, `--lut-k` and `--max-iterations` set `jobs`,
+/// `target_levels`, `k` and `max_iterations`. The switches take no value:
+/// `--no-penalties`, `--no-slack-matching` and `--area-only` clear
+/// `use_penalties` and `slack_matching`, and select
+/// [`Objective::AreaOnly`].
+///
+/// A malformed command line prints the reason and exits with code 2,
+/// before any flow runs: an unknown flag or a stray argument (a switch
+/// given a value is one), a numeric flag without a value or with one that
+/// is not an unsigned integer, or options [`FlowOptions::validate`]
+/// rejects (such as `--jobs 0`).
+pub fn flow_options_from_args() -> FlowOptions {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_flow_options(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
 }
 
-/// The spellings [`jobs_from_args`] accepts.
-const JOBS_FLAGS: &[&str] = &["--jobs", "-j"];
-
-/// The job count named by the first `FLAG N` or `FLAG=N` in `args` with
-/// `FLAG` one of [`JOBS_FLAGS`], or `None` if there is none.
+/// [`flow_options_from_args`] on `args`, the command line without the
+/// program name.
 ///
 /// # Errors
 ///
-/// A flag without a value, a value that is not an unsigned integer, or 0.
-fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
-    let mut args = args.iter();
-    while let Some(a) = args.next() {
-        let (flag, value) = if JOBS_FLAGS.contains(&a.as_str()) {
-            let value = args.next().ok_or_else(|| format!("{a} needs a value"))?;
-            (a.as_str(), value.as_str())
-        } else if let Some((flag, value)) =
-            a.split_once('=').filter(|(f, _)| JOBS_FLAGS.contains(f))
-        {
-            (flag, value)
-        } else {
-            continue;
-        };
-        return match value.parse::<usize>() {
-            Ok(0) => Err(format!("{flag} 0: must be at least 1")),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(format!("{flag} {value:?}: not an unsigned integer")),
-        };
+/// Why the command line is malformed.
+fn parse_flow_options(args: &[String]) -> Result<FlowOptions, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{flag} {value:?}: not an unsigned integer"))
     }
-    Ok(None)
+    let mut opts = FlowOptions {
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ..FlowOptions::default()
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || match inline {
+            Some(value) => Ok(value),
+            None => args
+                .next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value")),
+        };
+        match (flag, inline) {
+            ("--no-penalties", None) => opts.use_penalties = false,
+            ("--no-slack-matching", None) => opts.slack_matching = false,
+            ("--area-only", None) => opts.objective = Objective::AreaOnly,
+            ("--jobs" | "-j", _) => opts.jobs = number(flag, value()?)?,
+            ("--target", _) => opts.target_levels = number(flag, value()?)?,
+            ("--lut-k", _) => opts.k = number(flag, value()?)?,
+            ("--max-iterations", _) => opts.max_iterations = number(flag, value()?)?,
+            _ => return Err(format!("unknown option {arg:?}")),
+        }
+    }
+    opts.validate().map_err(|e| e.to_string())?;
+    Ok(opts)
 }
 
 /// Asserts that `result`'s circuit still computes the kernel's reference
@@ -215,8 +241,9 @@ pub fn compare_kernel(
     })
 }
 
-/// Runs [`compare_kernel`] over `kernels` on `jobs` threads; rows come
-/// back in kernel order.
+/// Runs [`compare_kernel`] over `kernels` on `opts.jobs` threads, the
+/// width each flow's synthesis and slack pools also take; rows come back
+/// in kernel order.
 ///
 /// # Errors
 ///
@@ -224,9 +251,8 @@ pub fn compare_kernel(
 pub fn compare_kernels(
     kernels: &[Kernel],
     opts: &FlowOptions,
-    jobs: usize,
 ) -> Result<Vec<KernelComparison>, CompareError> {
-    let results = dataflow::par::map(kernels, jobs, |kernel| {
+    let results = dataflow::par::map(kernels, opts.jobs, |kernel| {
         let t = Instant::now();
         let out = compare_kernel(kernel, opts);
         match &out {
@@ -248,37 +274,95 @@ pub fn compare_kernels(
 mod tests {
     use super::*;
 
-    fn jobs(args: &[&str]) -> Result<Option<usize>, String> {
-        let args: Vec<String> = std::iter::once("table1")
-            .chain(args.iter().copied())
-            .map(String::from)
-            .collect();
-        parse_jobs(&args)
+    fn parse(args: &[&str]) -> Result<FlowOptions, String> {
+        let args: Vec<String> = args.iter().copied().map(String::from).collect();
+        parse_flow_options(&args)
     }
 
     #[test]
-    fn parse_jobs_reads_every_spelling() {
-        assert_eq!(jobs(&[]), Ok(None));
-        assert_eq!(jobs(&["--json", "out.json"]), Ok(None));
-        assert_eq!(jobs(&["--jobs", "4"]), Ok(Some(4)));
-        assert_eq!(jobs(&["--jobs=3"]), Ok(Some(3)));
-        assert_eq!(jobs(&["-j", "2", "--json", "out.json"]), Ok(Some(2)));
+    fn no_flags_are_the_defaults() {
+        let opts = parse(&[]).unwrap();
+        let d = FlowOptions::default();
+        assert_eq!(
+            (opts.target_levels, opts.k, opts.max_iterations),
+            (d.target_levels, d.k, d.max_iterations)
+        );
+        assert!(opts.use_penalties && opts.slack_matching);
+        assert_eq!(opts.objective, Objective::ThroughputAndArea);
+        assert!(opts.jobs >= 1);
     }
 
     #[test]
-    fn parse_jobs_rejects_malformed_counts() {
-        let bad: [&[&str]; 7] = [
-            &["--jobs", "abc"],
-            &["--jobs", "0"],
-            &["--jobs=0"],
-            &["-j", "-1"],
+    fn each_numeric_flag_sets_its_field_in_both_spellings() {
+        type Field = fn(&FlowOptions) -> usize;
+        let flags: [(&str, Field); 5] = [
+            ("--jobs", |o| o.jobs),
+            ("-j", |o| o.jobs),
+            ("--target", |o| o.target_levels as usize),
+            ("--lut-k", |o| o.k),
+            ("--max-iterations", |o| o.max_iterations),
+        ];
+        for (flag, field) in flags {
+            let spaced = parse(&[flag, "5"]).unwrap();
+            assert_eq!(field(&spaced), 5, "{flag} 5");
+            let joined = parse(&[&format!("{flag}=4")]).unwrap();
+            assert_eq!(field(&joined), 4, "{flag}=4");
+        }
+    }
+
+    #[test]
+    fn each_switch_sets_its_field() {
+        assert!(!parse(&["--no-penalties"]).unwrap().use_penalties);
+        assert!(!parse(&["--no-slack-matching"]).unwrap().slack_matching);
+        assert_eq!(
+            parse(&["--area-only"]).unwrap().objective,
+            Objective::AreaOnly
+        );
+        let all = parse(&[
+            "--target",
+            "8",
+            "--no-slack-matching",
+            "--jobs=1",
+            "--area-only",
+        ])
+        .unwrap();
+        assert_eq!((all.target_levels, all.jobs), (8, 1));
+        assert!(!all.slack_matching && all.use_penalties);
+        assert_eq!(all.objective, Objective::AreaOnly);
+    }
+
+    #[test]
+    fn malformed_command_lines_are_rejected() {
+        let bad: &[&[&str]] = &[
+            // Unknown flags and stray arguments.
+            &["--json", "out.json"],
+            &["--bogus"],
+            &["extra"],
+            // Missing values.
             &["--jobs"],
+            &["--target"],
+            &["--lut-k"],
+            &["--max-iterations"],
             &["--jobs="],
             // A flag is not a value: the next argument is not taken as one.
-            &["--jobs", "--json"],
+            &["--jobs", "--no-penalties"],
+            // Values that are not unsigned integers.
+            &["--jobs", "abc"],
+            &["-j", "-1"],
+            &["--target", "4.5"],
+            &["--lut-k=x"],
+            &["--max-iterations", "-2"],
+            // A switch takes no value.
+            &["--no-penalties=1"],
+            // Options the flows reject.
+            &["--jobs", "0"],
+            &["--jobs=0"],
+            &["--target", "1"],
+            &["--lut-k", "2"],
+            &["--max-iterations", "0"],
         ];
         for args in bad {
-            assert!(jobs(args).is_err(), "{args:?} was accepted");
+            assert!(parse(args).is_err(), "{args:?} was accepted");
         }
     }
 }

@@ -46,7 +46,7 @@ pub struct FlowOptions {
     /// `target_levels`.
     pub buffer_margin: u32,
     /// Use the logic-sharing penalties of Eq. 3 (`false` = Eq. 1 weights
-    /// on the same mapping-aware model — the penalty ablation).
+    /// on the same mapping-aware model — `table1 --no-penalties`).
     pub use_penalties: bool,
     /// Run the shared slack-matching pass after placement (both flows).
     pub slack_matching: bool,
@@ -55,7 +55,8 @@ pub struct FlowOptions {
     /// the production engine; [`sim::SimEngine::FullSweep`] is its
     /// bit-identical oracle, selected only to check a flow against it.
     pub sim_engine: sim::SimEngine,
-    /// The MILP objective (Eq. 3 by default; area-only for the ablation).
+    /// The MILP objective (Eq. 3 by default; area-only for
+    /// `table1 --area-only`).
     pub objective: crate::place::Objective,
     /// Worker threads shared by every parallel stage of the flow: the
     /// FlowMap LUT packer ([`SynthOptions::jobs`](crate::SynthOptions)),

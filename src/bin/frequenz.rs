@@ -18,32 +18,10 @@ use frequenz::sim::{SimError, Simulator, VcdTracer};
 use std::io::Write as _;
 use std::process::ExitCode;
 
+/// The Table I kernel called `name`, at its Table I size.
 fn kernel_by_name(name: &str) -> Option<Kernel> {
-    Some(match name {
-        "insertion_sort" => kernels::insertion_sort(32),
-        "stencil_2d" => kernels::stencil_2d(8),
-        "covariance" => kernels::covariance(8),
-        "gsum" => kernels::gsum(128),
-        "gsumif" => kernels::gsumif(128),
-        "gaussian" => kernels::gaussian(8),
-        "matrix" => kernels::matrix(8),
-        "mvt" => kernels::mvt(8),
-        "gemver" => kernels::gemver(8),
-        _ => return None,
-    })
+    kernels::all_kernels().into_iter().find(|k| k.name == name)
 }
-
-const KERNEL_NAMES: [&str; 9] = [
-    "insertion_sort",
-    "stencil_2d",
-    "covariance",
-    "gsum",
-    "gsumif",
-    "gaussian",
-    "matrix",
-    "mvt",
-    "gemver",
-];
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -58,11 +36,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
-            for n in KERNEL_NAMES {
-                let k = kernel_by_name(n).expect("known kernel");
+            for k in kernels::all_kernels() {
                 println!(
                     "{:<15} {:>4} units {:>4} channels {:>2} loop rings",
-                    n,
+                    k.name,
                     k.graph().num_units(),
                     k.graph().num_channels(),
                     k.back_edges().len()

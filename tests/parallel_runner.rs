@@ -1,6 +1,8 @@
 //! Tier-1 regression: the parallel comparison runner must be an invisible
 //! optimization — the rows it produces are identical (and identically
-//! ordered) whether kernels are compared on one thread or four.
+//! ordered) whether kernels are compared on one thread or four. The job
+//! count is `FlowOptions::jobs`, so the sweep also covers each flow's
+//! synthesis and slack pools.
 
 use frequenz_bench::{compare_kernels, KernelComparison};
 use frequenz_core::FlowOptions;
@@ -32,9 +34,12 @@ fn row_content(c: &KernelComparison) -> impl PartialEq + std::fmt::Debug + use<>
 #[test]
 fn parallel_and_sequential_rows_are_identical() {
     let kernels = small_kernels();
-    let opts = FlowOptions::default();
-    let seq = compare_kernels(&kernels, &opts, 1).expect("sequential run succeeds");
-    let par = compare_kernels(&kernels, &opts, 4).expect("parallel run succeeds");
+    let with_jobs = |jobs| FlowOptions {
+        jobs,
+        ..FlowOptions::default()
+    };
+    let seq = compare_kernels(&kernels, &with_jobs(1)).expect("sequential run succeeds");
+    let par = compare_kernels(&kernels, &with_jobs(4)).expect("parallel run succeeds");
     assert_eq!(seq.len(), kernels.len());
     assert_eq!(par.len(), kernels.len());
     for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
