@@ -176,25 +176,7 @@ pub fn verify_outputs_traced(
     let res = s.run(kernel.max_cycles * 8);
     sim.tally(t.elapsed(), s.cycle());
     let stats = res?;
-    if let Some(exp) = kernel.expected_exit {
-        if stats.exit_value != Some(exp) {
-            return Err(format!(
-                "{}: exit value {:?} != expected {exp}",
-                kernel.name, stats.exit_value
-            )
-            .into());
-        }
-    }
-    for (mem, expected) in &kernel.expected_mems {
-        if s.memory(*mem) != expected.as_slice() {
-            return Err(format!(
-                "{}: memory {} deviates from the reference",
-                kernel.name,
-                result.graph.memory(*mem).name()
-            )
-            .into());
-        }
-    }
+    kernel.check_outputs(stats.exit_value, |m| s.memory(m))?;
     Ok(())
 }
 

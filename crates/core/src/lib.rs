@@ -63,11 +63,10 @@ pub use place::{
     PlacementProblem, PlacementResult,
 };
 pub use report::{
-    clock_period_ns, measure, measure_traced, measure_with_cache, utilization, CircuitReport,
-    MeasureError,
+    clock_period_ns, measure, measure_traced, utilization, CircuitReport, MeasureError,
 };
 pub use sim::{SimEngine, SimOptions};
-pub use slack::{slack_match, slack_match_traced, SlackOptions};
+pub use slack::{slack_match_traced, SlackOptions};
 pub use synth::{synthesize, SynthCache, SynthDelta, SynthHandle, SynthOptions, Synthesis};
 pub use timing::{CriticalPath, TimingEdge, TimingGraph, TimingNode, TimingNodeId};
 pub use trace::{FlowTrace, SimStats};

@@ -189,35 +189,13 @@ pub fn measure(g: &Graph, k: usize, sim_budget: u64) -> Result<CircuitReport, Me
     )
 }
 
-/// [`measure`] with a caller-owned synthesis cache.
-///
-/// When the cache already saw the flow that produced `g` (the iterative
-/// flow re-synthesizes its own final answer), the measurement's synthesis
-/// is a guaranteed hit.
-///
-/// # Errors
-///
-/// Same contract as [`measure`].
-pub fn measure_with_cache(
-    g: &Graph,
-    k: usize,
-    sim_budget: u64,
-    cache: &SynthCache,
-) -> Result<CircuitReport, MeasureError> {
-    measure_traced(
-        g,
-        k,
-        sim_budget,
-        cache,
-        SimOptions::default(),
-        &mut SimStats::default(),
-    )
-}
-
-/// [`measure_with_cache`] with instrumentation and an engine choice: the
-/// functional simulation's wall clock and executed cycles (and bytecode
-/// compiles, for [`SimEngine::Compiled`]) are tallied into `sim` (also on
-/// failure — a deadlocked run still burns real time).
+/// [`measure`] with a caller-owned synthesis cache, instrumentation and an
+/// engine choice. When the cache already saw the flow that produced `g`
+/// (the iterative flow re-synthesizes its own final answer), the
+/// measurement's synthesis is a guaranteed hit. The functional
+/// simulation's wall clock and executed cycles (and bytecode compiles,
+/// for [`SimEngine::Compiled`]) are tallied into `sim` (also on failure —
+/// a deadlocked run still burns real time).
 ///
 /// # Errors
 ///

@@ -54,7 +54,7 @@ const MAX_ADDED: usize = 16;
 /// Stall-ranked channels tried per round, singly and in pairs.
 const CANDIDATES_PER_ROUND: usize = 8;
 
-/// Options for [`slack_match`].
+/// Options for [`slack_match_traced`].
 #[derive(Debug, Clone)]
 pub struct SlackOptions {
     /// Simulation cycle budget per trial.
@@ -303,7 +303,15 @@ where
 ///
 /// Returns the augmented buffer list (a superset of `buffers`). The level
 /// budget is re-checked by synthesis for every accepted buffer, so the
-/// pass can only improve cycle counts, never the clock period.
+/// pass can only improve cycle counts, never the clock period. Synthesis
+/// goes through the caller-owned `cache`: probing the same buffer set
+/// twice (or re-checking the set the enclosing flow just synthesized)
+/// hits it. A probe's work goes into the synthesis counters
+/// ([`FlowTrace::record_synth`]) and its time into `trace.slack` only.
+///
+/// The pass accumulates its wall clock into `trace.slack`, the simulator
+/// sub-lane into `trace.sim` (runs/cycles/compiles included), and the
+/// trial/pruned counters.
 ///
 /// # Errors
 ///
@@ -311,29 +319,6 @@ where
 /// (malformed graph) and [`FlowError::TrialPanic`] when a trial worker
 /// panics; a trial that merely deadlocks or times out is an ordinary
 /// rejected candidate, not an error.
-pub fn slack_match(
-    base: &Graph,
-    buffers: &[ChannelId],
-    opts: &SlackOptions,
-) -> Result<Vec<ChannelId>, FlowError> {
-    let cache = SynthCache::new();
-    slack_match_traced(base, buffers, opts, &cache, &mut FlowTrace::default())
-}
-
-/// [`slack_match`] with a caller-owned synthesis cache and
-/// instrumentation: accumulates the pass wall clock into `trace.slack`,
-/// the simulator sub-lane into `trace.sim` (runs/cycles/compiles
-/// included), and the trial/pruned counters.
-///
-/// The pass re-synthesizes every accepted candidate to re-check the level
-/// budget; probing the same buffer set twice (or re-checking the set the
-/// enclosing flow just synthesized) then hits the cache. A probe's work
-/// goes into the synthesis counters ([`FlowTrace::record_synth`]) and its
-/// time into `trace.slack` only.
-///
-/// # Errors
-///
-/// Same contract as [`slack_match`].
 pub fn slack_match_traced(
     base: &Graph,
     buffers: &[ChannelId],
@@ -489,7 +474,14 @@ mod tests {
             target_levels: 16, // generous: this test is about cycles
             ..SlackOptions::default()
         };
-        let matched = slack_match(k.graph(), &seed, &opts).unwrap();
+        let matched = slack_match_traced(
+            k.graph(),
+            &seed,
+            &opts,
+            &SynthCache::new(),
+            &mut FlowTrace::default(),
+        )
+        .unwrap();
         let (after, _, _) =
             profile_once(k.graph(), &matched, k.max_cycles * 4, SimEngine::default());
         assert!(after.unwrap() <= before.unwrap());
@@ -509,7 +501,14 @@ mod tests {
             target_levels: 32,
             ..SlackOptions::default()
         };
-        let matched = slack_match(k.graph(), &seed, &opts).unwrap();
+        let matched = slack_match_traced(
+            k.graph(),
+            &seed,
+            &opts,
+            &SynthCache::new(),
+            &mut FlowTrace::default(),
+        )
+        .unwrap();
         let g = apply_buffers(k.graph(), &matched);
         let levels = synthesize(&g, 6).unwrap().logic_levels();
         assert!(levels <= 32);
@@ -542,10 +541,11 @@ mod tests {
             target_levels: 16,
             ..SlackOptions::default()
         };
+        let cache = SynthCache::new();
         let mut trace = FlowTrace::default();
-        let matched =
-            slack_match_traced(k.graph(), &seed, &opts, &SynthCache::new(), &mut trace).unwrap();
-        assert_eq!(matched, slack_match(k.graph(), &seed, &opts).unwrap());
+        let matched = slack_match_traced(k.graph(), &seed, &opts, &cache, &mut trace).unwrap();
+        let again = slack_match_traced(k.graph(), &seed, &opts, &cache, &mut FlowTrace::default());
+        assert_eq!(matched, again.unwrap(), "a warm cache changes nothing");
         assert_eq!(
             trace.sim_runs,
             1 + trace.slack_trials,
@@ -609,7 +609,8 @@ mod tests {
                 engine,
                 ..SlackOptions::default()
             };
-            match slack_match(&g, &[], &opts) {
+            let mut trace = FlowTrace::default();
+            match slack_match_traced(&g, &[], &opts, &SynthCache::new(), &mut trace) {
                 Err(FlowError::Simulation(SimError::UnconnectedPort { .. })) => {}
                 other => panic!("{engine:?}: expected UnconnectedPort, got {other:?}"),
             }

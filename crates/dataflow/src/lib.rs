@@ -58,7 +58,6 @@ pub use graph::Graph;
 pub use ids::{BasicBlockId, ChannelId, MemoryId, UnitId};
 pub use memory::Memory;
 pub use rng::XorShift64;
-pub use text::ParseDfgError;
 pub use unit::{OpKind, PortDir, PortSpec, Unit, UnitKind};
 
 /// Delay, in nanoseconds, attributed to one logic level (one LUT), matching

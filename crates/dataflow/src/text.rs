@@ -1,8 +1,9 @@
-//! A line-oriented textual interchange format for dataflow graphs (`.dfg`).
+//! A line-oriented text export of dataflow graphs (`.dfg`).
 //!
 //! Dynamatic exchanges circuits as annotated DOT files; this crate's
-//! equivalent is a minimal, diff-friendly text form that round-trips every
-//! graph feature (units, channels, buffers, basic blocks, memories):
+//! equivalent is a minimal, diff-friendly text form that writes every
+//! graph feature (units, channels, buffers, basic blocks, memories). It is
+//! an export format only (`frequenz dfg`); nothing reads it back:
 //!
 //! ```text
 //! dfg gsum
@@ -21,43 +22,8 @@
 //! needed (`fork2`, `join3`, `mux2`, `cmerge2`, `const[42]`, `shl[3]`,
 //! `load[m0]`, `arg[0]`).
 
-use crate::{BufferSpec, Graph, GraphError, MemoryId, OpKind, PortRef, UnitId, UnitKind};
-use std::fmt;
+use crate::{Graph, OpKind, UnitKind};
 use std::fmt::Write as _;
-
-/// Errors from parsing the `.dfg` format.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ParseDfgError {
-    /// A malformed line, with its 1-based number and an explanation.
-    Syntax {
-        /// Line number.
-        line: usize,
-        /// Explanation.
-        message: String,
-    },
-    /// Graph construction rejected the parsed content.
-    Graph(GraphError),
-}
-
-impl fmt::Display for ParseDfgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseDfgError::Syntax { line, message } => {
-                write!(f, "dfg syntax error at line {line}: {message}")
-            }
-            ParseDfgError::Graph(e) => write!(f, "dfg graph error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ParseDfgError {}
-
-impl From<GraphError> for ParseDfgError {
-    fn from(e: GraphError) -> Self {
-        ParseDfgError::Graph(e)
-    }
-}
 
 fn kind_token(kind: &UnitKind) -> String {
     match *kind {
@@ -80,92 +46,6 @@ fn kind_token(kind: &UnitKind) -> String {
         UnitKind::Entry => "entry".into(),
         UnitKind::Exit => "exit".into(),
     }
-}
-
-fn parse_kind(tok: &str, line: usize) -> Result<UnitKind, ParseDfgError> {
-    let syntax = |message: String| ParseDfgError::Syntax { line, message };
-    let bracket = |t: &str| -> Option<(String, String)> {
-        let open = t.find('[')?;
-        let close = t.rfind(']')?;
-        Some((t[..open].to_string(), t[open + 1..close].to_string()))
-    };
-    if let Some((base, arg)) = bracket(tok) {
-        return Ok(match base.as_str() {
-            "const" => UnitKind::Constant {
-                value: arg
-                    .parse()
-                    .map_err(|_| syntax(format!("bad const {arg:?}")))?,
-            },
-            "arg" => UnitKind::Argument {
-                index: arg
-                    .parse()
-                    .map_err(|_| syntax(format!("bad arg {arg:?}")))?,
-            },
-            "shl" => UnitKind::Operator(OpKind::ShlConst(
-                arg.parse()
-                    .map_err(|_| syntax(format!("bad shift {arg:?}")))?,
-            )),
-            "shr" => UnitKind::Operator(OpKind::ShrConst(
-                arg.parse()
-                    .map_err(|_| syntax(format!("bad shift {arg:?}")))?,
-            )),
-            "load" | "store" => {
-                let idx: u32 = arg
-                    .strip_prefix('m')
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| syntax(format!("bad memory ref {arg:?}")))?;
-                let mem = MemoryId::from_raw(idx);
-                if base == "load" {
-                    UnitKind::Load { mem }
-                } else {
-                    UnitKind::Store { mem }
-                }
-            }
-            other => return Err(syntax(format!("unknown kind {other:?}"))),
-        });
-    }
-    // Numeric-suffix kinds.
-    for (prefix, mk) in [
-        (
-            "lfork",
-            &(|n| UnitKind::LazyFork { outputs: n }) as &dyn Fn(u8) -> UnitKind,
-        ),
-        ("fork", &|n| UnitKind::Fork { outputs: n }),
-        ("join", &|n| UnitKind::Join { inputs: n }),
-        ("merge", &|n| UnitKind::Merge { inputs: n }),
-        ("mux", &|n| UnitKind::Mux { inputs: n }),
-        ("cmerge", &|n| UnitKind::ControlMerge { inputs: n }),
-    ] {
-        if let Some(rest) = tok.strip_prefix(prefix) {
-            if let Ok(n) = rest.parse::<u8>() {
-                return Ok(mk(n));
-            }
-        }
-    }
-    Ok(match tok {
-        "branch" => UnitKind::Branch,
-        "source" => UnitKind::Source,
-        "sink" => UnitKind::Sink,
-        "entry" => UnitKind::Entry,
-        "exit" => UnitKind::Exit,
-        "add" => UnitKind::Operator(OpKind::Add),
-        "sub" => UnitKind::Operator(OpKind::Sub),
-        "mul" => UnitKind::Operator(OpKind::Mul),
-        "and" => UnitKind::Operator(OpKind::And),
-        "or" => UnitKind::Operator(OpKind::Or),
-        "xor" => UnitKind::Operator(OpKind::Xor),
-        "not" => UnitKind::Operator(OpKind::Not),
-        "eq" => UnitKind::Operator(OpKind::Eq),
-        "ne" => UnitKind::Operator(OpKind::Ne),
-        "lt" => UnitKind::Operator(OpKind::Lt),
-        "le" => UnitKind::Operator(OpKind::Le),
-        "gt" => UnitKind::Operator(OpKind::Gt),
-        "ge" => UnitKind::Operator(OpKind::Ge),
-        "select" => UnitKind::Operator(OpKind::Select),
-        other => {
-            return Err(syntax(format!("unknown kind {other:?}")));
-        }
-    })
 }
 
 impl Graph {
@@ -205,138 +85,12 @@ impl Graph {
         let _ = writeln!(out, "end");
         out
     }
-
-    /// Parses a graph from the `.dfg` text format.
-    ///
-    /// # Errors
-    ///
-    /// [`ParseDfgError`] on malformed input or inconsistent structure.
-    pub fn from_dfg_text(text: &str) -> Result<Graph, ParseDfgError> {
-        let mut g: Option<Graph> = None;
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let syntax = |message: String| ParseDfgError::Syntax {
-                line: lineno,
-                message,
-            };
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            match toks.next() {
-                Some("dfg") => {
-                    let name = toks.next().ok_or_else(|| syntax("missing name".into()))?;
-                    g = Some(Graph::new(name));
-                }
-                Some("end") => break,
-                Some(directive) => {
-                    let g = g
-                        .as_mut()
-                        .ok_or_else(|| syntax("content before `dfg` header".into()))?;
-                    match directive {
-                        "bb" => {
-                            let name = toks
-                                .next()
-                                .ok_or_else(|| syntax("missing bb name".into()))?;
-                            g.add_basic_block(name);
-                        }
-                        "mem" => {
-                            let name = toks
-                                .next()
-                                .ok_or_else(|| syntax("missing mem name".into()))?;
-                            let size: usize = toks
-                                .next()
-                                .and_then(|t| t.parse().ok())
-                                .ok_or_else(|| syntax("bad mem size".into()))?;
-                            let width: u16 = toks
-                                .next()
-                                .and_then(|t| t.parse().ok())
-                                .ok_or_else(|| syntax("bad mem width".into()))?;
-                            let init = match toks.next() {
-                                Some("init") => toks
-                                    .next()
-                                    .unwrap_or("")
-                                    .split(',')
-                                    .filter(|t| !t.is_empty())
-                                    .map(|t| {
-                                        t.parse::<u64>()
-                                            .map_err(|_| syntax(format!("bad init value {t:?}")))
-                                    })
-                                    .collect::<Result<Vec<u64>, _>>()?,
-                                _ => Vec::new(),
-                            };
-                            g.add_memory(name, size, width, init);
-                        }
-                        "unit" => {
-                            let name = toks
-                                .next()
-                                .ok_or_else(|| syntax("missing unit name".into()))?;
-                            let kind_tok = toks
-                                .next()
-                                .ok_or_else(|| syntax("missing unit kind".into()))?;
-                            let kind = parse_kind(kind_tok, lineno)?;
-                            let bb_tok =
-                                toks.next().ok_or_else(|| syntax("missing bb ref".into()))?;
-                            let bb: u32 = bb_tok
-                                .strip_prefix("bb")
-                                .and_then(|t| t.parse().ok())
-                                .ok_or_else(|| syntax(format!("bad bb ref {bb_tok:?}")))?;
-                            let w_tok =
-                                toks.next().ok_or_else(|| syntax("missing width".into()))?;
-                            let width: u16 =
-                                w_tok
-                                    .strip_prefix('w')
-                                    .and_then(|t| t.parse().ok())
-                                    .ok_or_else(|| syntax(format!("bad width {w_tok:?}")))?;
-                            g.add_unit(kind, name, crate::BasicBlockId::from_raw(bb), width)?;
-                        }
-                        "chan" => {
-                            let parse_port = |t: &str| -> Option<PortRef> {
-                                let (u, p) = t.split_once('.')?;
-                                let u: u32 = u.strip_prefix('u')?.parse().ok()?;
-                                let p: usize = p.parse().ok()?;
-                                Some(PortRef::new(UnitId::from_raw(u), p))
-                            };
-                            let src_tok =
-                                toks.next().ok_or_else(|| syntax("missing src".into()))?;
-                            let arrow = toks.next();
-                            if arrow != Some("->") {
-                                return Err(syntax("expected `->`".into()));
-                            }
-                            let dst_tok =
-                                toks.next().ok_or_else(|| syntax("missing dst".into()))?;
-                            let src = parse_port(src_tok)
-                                .ok_or_else(|| syntax(format!("bad port {src_tok:?}")))?;
-                            let dst = parse_port(dst_tok)
-                                .ok_or_else(|| syntax(format!("bad port {dst_tok:?}")))?;
-                            let ch = g.connect(src, dst)?;
-                            if toks.next() == Some("buf") {
-                                let spec = match toks.next() {
-                                    Some("OB+TB") => BufferSpec::FULL,
-                                    Some("OB") => BufferSpec::OPAQUE,
-                                    Some("TB") => BufferSpec::TRANSPARENT,
-                                    other => return Err(syntax(format!("bad buffer {other:?}"))),
-                                };
-                                g.set_buffer(ch, spec);
-                            }
-                        }
-                        other => return Err(syntax(format!("unknown directive {other:?}"))),
-                    }
-                }
-                None => {}
-            }
-        }
-        g.ok_or(ParseDfgError::Syntax {
-            line: 0,
-            message: "empty input".into(),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BufferSpec, PortRef};
 
     fn sample() -> Graph {
         let mut g = Graph::new("sample");
@@ -370,65 +124,31 @@ mod tests {
         g
     }
 
+    /// The sample graph's text, line by line: the basic block, the memory
+    /// with its init values, the units in id order (kind token, block,
+    /// width) and the channels in id order, the buffered ones with their
+    /// spec.
     #[test]
-    fn round_trip_preserves_everything() {
-        let g = sample();
-        let text = g.to_dfg_text();
-        let back = Graph::from_dfg_text(&text).expect("parses");
-        assert_eq!(back.name(), g.name());
-        assert_eq!(back.num_units(), g.num_units());
-        assert_eq!(back.num_channels(), g.num_channels());
-        assert_eq!(back.memories().count(), 1);
-        let (_, m) = back.memories().next().unwrap();
-        assert_eq!(m.init(), &[1, 2, 3]);
-        // Buffers survive.
-        let bufs_a: Vec<_> = g.buffered_channels();
-        let bufs_b: Vec<_> = back.buffered_channels();
-        assert_eq!(bufs_a.len(), bufs_b.len());
-        // And the text is stable (idempotent round trip).
-        assert_eq!(back.to_dfg_text(), text);
-        back.validate().unwrap();
-    }
-
-    #[test]
-    fn parses_comments_and_blanks() {
-        let text = "\
-# a comment
-dfg t
-
-bb main   # trailing comment
-unit e entry bb0 w0
-unit x exit bb0 w0
+    fn writes_sample_graph() {
+        let expected = "\
+dfg sample
+bb entry
+mem a 8 16 init 1,2,3
+unit x arg[0] bb0 w16
+unit ld load[m0] bb0 w16
+unit add add bb0 w16
+unit f fork2 bb0 w16
+unit out exit bb0 w16
+unit sk sink bb0 w16
+unit y arg[1] bb0 w16
 chan u0.0 -> u1.0
+chan u1.0 -> u2.0
+chan u2.0 -> u3.0 buf OB+TB
+chan u3.0 -> u4.0
+chan u3.1 -> u5.0 buf TB
+chan u6.0 -> u2.1
 end
 ";
-        let g = Graph::from_dfg_text(text).unwrap();
-        assert_eq!(g.num_units(), 2);
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_malformed_lines() {
-        for bad in [
-            "unit e entry bb0 w0", // before header
-            "dfg t\nunit e wat bb0 w0",
-            "dfg t\nbb b\nunit e entry bb0 w0\nchan u0.0 <- u0.0",
-            "dfg t\nchan u9.0 -> u1.0",
-        ] {
-            assert!(Graph::from_dfg_text(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn kernel_round_trips() {
-        // A realistic kernel with loops, memories and every ring construct.
-        let text_in = {
-            // Use the graph directly from the text module's perspective:
-            // build with the builder-equivalent structures.
-            let g = sample();
-            g.to_dfg_text()
-        };
-        let g2 = Graph::from_dfg_text(&text_in).unwrap();
-        assert_eq!(g2.to_dfg_text(), text_in);
+        assert_eq!(sample().to_dfg_text(), expected);
     }
 }

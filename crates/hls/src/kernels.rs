@@ -48,6 +48,38 @@ impl Kernel {
         }
         g
     }
+
+    /// Checks a finished run of the circuit against the software
+    /// reference: the exit value first (for a kernel that returns one),
+    /// then every memory the kernel writes, read through `memory`.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch.
+    pub fn check_outputs<'a>(
+        &self,
+        exit_value: Option<u64>,
+        memory: impl Fn(MemoryId) -> &'a [u64],
+    ) -> Result<(), String> {
+        if let Some(exp) = self.expected_exit {
+            if exit_value != Some(exp) {
+                return Err(format!(
+                    "{}: exit value {exit_value:?} != expected {exp}",
+                    self.name
+                ));
+            }
+        }
+        for (mem, expected) in &self.expected_mems {
+            if memory(*mem) != expected.as_slice() {
+                return Err(format!(
+                    "{}: memory {} deviates from the reference",
+                    self.name,
+                    self.graph().memory(*mem).name()
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// All nine kernels at evaluation size.
@@ -736,5 +768,46 @@ pub fn gemver(n: usize) -> Kernel {
         expected_exit: None,
         expected_mems: vec![(mx, x), (mw, w), (ma, a)],
         max_cycles: 1024 * (n * n) as u64 + 6000,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reference passes its own check; a wrong exit value and a wrong
+    /// image of any written memory fail it, named in the message.
+    #[test]
+    fn check_outputs_rejects_wrong_exit_value_and_memory() {
+        let k = gsum(4);
+        let exit = k.expected_exit.expect("gsum returns its sum");
+        assert_eq!(k.check_outputs(Some(exit), |_| &[]), Ok(()));
+        let wrong = exit.wrapping_add(1);
+        assert_eq!(
+            k.check_outputs(Some(wrong), |_| &[]),
+            Err(format!("gsum: exit value Some({wrong}) != expected {exit}"))
+        );
+        assert_eq!(
+            k.check_outputs(None, |_| &[]),
+            Err(format!("gsum: exit value None != expected {exit}"))
+        );
+
+        let k = mvt(2);
+        let image = |m: MemoryId| {
+            let (_, v) = k.expected_mems.iter().find(|(id, _)| *id == m).unwrap();
+            v.as_slice()
+        };
+        assert_eq!(k.check_outputs(None, image), Ok(()));
+        let (last, reference) = k.expected_mems.last().unwrap();
+        let mut corrupt = reference.clone();
+        corrupt[0] ^= 1;
+        let got = k.check_outputs(None, |m| if m == *last { &corrupt[..] } else { image(m) });
+        assert_eq!(
+            got,
+            Err(format!(
+                "mvt: memory {} deviates from the reference",
+                k.graph().memory(*last).name()
+            ))
+        );
     }
 }

@@ -1,77 +1,15 @@
-//! BLIF (Berkeley Logic Interchange Format) export and import.
+//! BLIF (Berkeley Logic Interchange Format) export.
 //!
 //! The paper's flow moves circuits between tools as BLIF (ODIN-II emits
-//! it, ABC consumes it). This module round-trips our netlists through the
-//! same format: gates become `.names` cover lines, flip-flops become
-//! `.latch` entries (clock-enabled registers are expanded to a latch plus
-//! a recirculation `.names` mux, the standard BLIF encoding), and keeps
-//! become `.outputs`.
+//! it, ABC consumes it). Here every stage runs in-process, so BLIF is an
+//! export format only (`frequenz blif`): gates become `.names` cover
+//! lines, flip-flops become `.latch` entries (clock-enabled registers are
+//! expanded to a latch plus a recirculation `.names` mux, the standard
+//! BLIF encoding), and keeps become `.outputs`.
 
-use crate::gate::{GateId, GateKind, Origin};
+use crate::gate::{GateId, GateKind};
 use crate::netgraph::Netlist;
-use dataflow::collections::HashMap;
-use std::fmt;
-use std::io::{self, BufRead, Write};
-
-/// Errors from BLIF parsing.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum BlifError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A line could not be parsed.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// Explanation.
-        message: String,
-    },
-    /// A signal was referenced but never defined.
-    UndefinedSignal(String),
-    /// `.names` with more inputs than the reader supports (8).
-    TooManyInputs {
-        /// 1-based line number.
-        line: usize,
-        /// Number of inputs found.
-        inputs: usize,
-    },
-    /// A signal is driven by more than one definition (two `.names`
-    /// outputs, two `.latch` outputs, or a definition colliding with an
-    /// `.inputs` declaration). The reader used to panic (or silently keep
-    /// the last definition) on such files.
-    Redefined {
-        /// 1-based line number of the offending (later) definition.
-        line: usize,
-        /// The multiply-driven signal.
-        signal: String,
-    },
-}
-
-impl fmt::Display for BlifError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BlifError::Io(e) => write!(f, "blif i/o error: {e}"),
-            BlifError::Syntax { line, message } => {
-                write!(f, "blif syntax error at line {line}: {message}")
-            }
-            BlifError::UndefinedSignal(s) => write!(f, "undefined signal {s:?}"),
-            BlifError::TooManyInputs { line, inputs } => {
-                write!(f, "line {line}: .names with {inputs} inputs (max 8)")
-            }
-            BlifError::Redefined { line, signal } => {
-                write!(f, "line {line}: signal {signal:?} is already driven")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BlifError {}
-
-impl From<io::Error> for BlifError {
-    fn from(e: io::Error) -> Self {
-        BlifError::Io(e)
-    }
-}
+use std::io::{self, Write};
 
 fn sig(id: GateId) -> String {
     format!("n{}", id.index())
@@ -150,447 +88,64 @@ pub fn write_blif<W: Write>(nl: &Netlist, model: &str, mut w: W) -> io::Result<(
     Ok(())
 }
 
-/// A parsed `.names` cover row.
-#[derive(Debug)]
-struct Cover {
-    inputs: Vec<String>,
-    output: String,
-    rows: Vec<(Vec<u8>, bool)>, // pattern per input: 0, 1, 2 (= '-')
-    line: usize,                // the .names line, for error reporting
-}
-
-/// Reads a BLIF model back into a [`Netlist`].
-///
-/// Supports the subset this crate writes plus arbitrary `.names` covers of
-/// up to 8 inputs (synthesized as AND/OR/NOT sums of products) and
-/// `.latch` lines. Keeps are recreated from `.outputs`.
-///
-/// # Errors
-///
-/// [`BlifError`] on malformed input.
-pub fn read_blif<R: BufRead>(r: R) -> Result<Netlist, BlifError> {
-    let mut inputs: Vec<(String, usize)> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut covers: Vec<Cover> = Vec::new();
-    let mut latches: Vec<(String, String, usize)> = Vec::new(); // (d, q, line)
-
-    // Tokenize with continuation handling.
-    let mut lines: Vec<(usize, String)> = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        let line = line.split('#').next().unwrap_or("").trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((_, prev)) = lines.last_mut() {
-            if prev.ends_with('\\') {
-                prev.pop();
-                prev.push(' ');
-                prev.push_str(&line);
-                continue;
-            }
-        }
-        lines.push((i + 1, line));
-    }
-
-    let mut idx = 0;
-    while idx < lines.len() {
-        let (lineno, line) = &lines[idx];
-        let mut toks = line.split_whitespace();
-        match toks.next() {
-            Some(".model") | Some(".end") => idx += 1,
-            Some(".inputs") => {
-                inputs.extend(toks.map(|t| (t.to_string(), *lineno)));
-                idx += 1;
-            }
-            Some(".outputs") => {
-                outputs.extend(toks.map(str::to_string));
-                idx += 1;
-            }
-            Some(".latch") => {
-                let args: Vec<&str> = toks.collect();
-                if args.len() < 2 {
-                    return Err(BlifError::Syntax {
-                        line: *lineno,
-                        message: ".latch needs input and output".into(),
-                    });
-                }
-                latches.push((args[0].to_string(), args[1].to_string(), *lineno));
-                idx += 1;
-            }
-            Some(".names") => {
-                let names: Vec<String> = toks.map(str::to_string).collect();
-                if names.is_empty() {
-                    return Err(BlifError::Syntax {
-                        line: *lineno,
-                        message: ".names needs at least an output".into(),
-                    });
-                }
-                let (ins, out) = names.split_at(names.len() - 1);
-                if ins.len() > 8 {
-                    return Err(BlifError::TooManyInputs {
-                        line: *lineno,
-                        inputs: ins.len(),
-                    });
-                }
-                let mut rows = Vec::new();
-                idx += 1;
-                while idx < lines.len() && !lines[idx].1.starts_with('.') {
-                    let (rl, row) = &lines[idx];
-                    let parts: Vec<&str> = row.split_whitespace().collect();
-                    let (pattern, value) = match parts.as_slice() {
-                        [v] if ins.is_empty() => ("", *v),
-                        [p, v] => (*p, *v),
-                        _ => {
-                            return Err(BlifError::Syntax {
-                                line: *rl,
-                                message: format!("bad cover row {row:?}"),
-                            })
-                        }
-                    };
-                    if pattern.len() != ins.len() {
-                        return Err(BlifError::Syntax {
-                            line: *rl,
-                            message: "pattern width mismatch".into(),
-                        });
-                    }
-                    let pat: Vec<u8> = pattern
-                        .chars()
-                        .map(|c| match c {
-                            '0' => Ok(0),
-                            '1' => Ok(1),
-                            '-' => Ok(2),
-                            other => Err(BlifError::Syntax {
-                                line: *rl,
-                                message: format!("bad pattern char {other:?}"),
-                            }),
-                        })
-                        .collect::<Result<_, _>>()?;
-                    rows.push((pat, value == "1"));
-                    idx += 1;
-                }
-                covers.push(Cover {
-                    inputs: ins.to_vec(),
-                    output: out[0].clone(),
-                    rows,
-                    line: *lineno,
-                });
-            }
-            Some(other) => {
-                return Err(BlifError::Syntax {
-                    line: *lineno,
-                    message: format!("unsupported directive {other:?}"),
-                })
-            }
-            None => idx += 1,
-        }
-    }
-
-    // Build the netlist: declare signals, then wire. Every signal may have
-    // exactly one driver — a second definition (or one that collides with
-    // an `.inputs` declaration) is rejected with its line number instead
-    // of tripping the netlist builder's internal assertions.
-    let mut nl = Netlist::new();
-    let o = Origin::External;
-    let mut net: HashMap<String, GateId> = HashMap::default();
-    let mut driven: HashMap<String, usize> = HashMap::default();
-    for (name, line) in &inputs {
-        if driven.insert(name.clone(), *line).is_some() {
-            return Err(BlifError::Redefined {
-                line: *line,
-                signal: name.clone(),
-            });
-        }
-        let g = nl.input(o);
-        net.insert(name.clone(), g);
-    }
-    // Latch outputs exist before their D cones (forward references).
-    for (_, q, line) in &latches {
-        if driven.insert(q.clone(), *line).is_some() {
-            return Err(BlifError::Redefined {
-                line: *line,
-                signal: q.clone(),
-            });
-        }
-        let zero = nl.constant(false);
-        let g = nl.reg(zero, o);
-        net.insert(q.clone(), g);
-    }
-    // Cover outputs become forward aliases so arbitrary order works.
-    for c in &covers {
-        if driven.insert(c.output.clone(), c.line).is_some() {
-            return Err(BlifError::Redefined {
-                line: c.line,
-                signal: c.output.clone(),
-            });
-        }
-        let alias = nl.forward_alias(o);
-        net.insert(c.output.clone(), alias);
-    }
-    let lookup = |net: &HashMap<String, GateId>, name: &str| -> Result<GateId, BlifError> {
-        net.get(name)
-            .copied()
-            .ok_or_else(|| BlifError::UndefinedSignal(name.to_string()))
-    };
-    for c in &covers {
-        let ins: Vec<GateId> = c
-            .inputs
-            .iter()
-            .map(|n| lookup(&net, n))
-            .collect::<Result<_, _>>()?;
-        // Sum of products over the on-set rows.
-        let mut products = Vec::new();
-        for (pat, value) in &c.rows {
-            if !value {
-                continue; // off-set rows are ignored (BLIF on-set semantics)
-            }
-            let mut lits = Vec::new();
-            for (bit, &p) in pat.iter().enumerate() {
-                match p {
-                    0 => {
-                        let n = nl.not(ins[bit], o);
-                        lits.push(n);
-                    }
-                    1 => lits.push(ins[bit]),
-                    _ => {}
-                }
-            }
-            products.push(nl.and_tree(&lits, o));
-        }
-        let value = nl.or_tree(&products, o);
-        let alias = net[&c.output];
-        nl.bind_alias(alias, value);
-    }
-    for (d, q, _) in &latches {
-        let dg = lookup(&net, d)?;
-        let qg = net[q];
-        nl.rebind_reg(qg, dg);
-    }
-    for (i, name) in outputs.iter().enumerate() {
-        let g = lookup(&net, name)?;
-        nl.add_keep(g, format!("out{i}:{name}"));
-    }
-    Ok(nl)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetlistSim;
+    use crate::gate::Origin;
 
-    fn roundtrip(nl: &Netlist) -> Netlist {
-        let mut buf = Vec::new();
-        write_blif(nl, "t", &mut buf).expect("write");
-        read_blif(io::BufReader::new(buf.as_slice())).expect("read")
-    }
-
+    /// One live gate of every kind the writer emits, plus one dead gate it
+    /// must skip. Each cover below is the on-set of its gate: constant 1
+    /// is one empty row and constant 0 none; `mux` is `[sel, a, b]`,
+    /// `sel ? a : b`; `reg_en` is `[en, d]`, expanded to `en ? d : q`.
     #[test]
-    fn combinational_round_trip_is_equivalent() {
+    fn writes_every_gate_kind() {
         let o = Origin::External;
         let mut nl = Netlist::new();
-        let a = nl.input(o);
-        let b = nl.input(o);
-        let c = nl.input(o);
-        let x = nl.xor(a, b, o);
-        let m = nl.mux(c, x, a, o);
-        let n = nl.not(m, o);
-        nl.add_keep(n, "out");
-        let back = roundtrip(&nl);
-
-        // Identify the reader's inputs in declaration order (a, b, c).
-        let ins: Vec<GateId> = back
-            .gates()
-            .filter(|(_, g)| g.kind() == GateKind::Input)
-            .map(|(id, _)| id)
-            .collect();
-        assert_eq!(ins.len(), 3);
-        let mut sim1 = NetlistSim::new(&nl).unwrap();
-        let mut sim2 = NetlistSim::new(&back).unwrap();
-        for v in 0..8u8 {
-            let bits = [(v & 1) != 0, (v & 2) != 0, (v & 4) != 0];
-            sim1.set_input(a, bits[0]);
-            sim1.set_input(b, bits[1]);
-            sim1.set_input(c, bits[2]);
-            for (g, &bit) in ins.iter().zip(&bits) {
-                sim2.set_input(*g, bit);
-            }
-            sim1.settle();
-            sim2.settle();
-            let o1: Vec<bool> = sim1.observe().iter().map(|(_, v)| *v).collect();
-            let o2: Vec<bool> = sim2.observe().iter().map(|(_, v)| *v).collect();
-            assert_eq!(o1, o2, "vector {v:03b}");
-        }
-    }
-
-    #[test]
-    fn sequential_round_trip_preserves_latches() {
-        let o = Origin::External;
-        let mut nl = Netlist::new();
-        let a = nl.input(o);
-        let r = nl.reg(a, o);
-        let en = nl.input(o);
-        let re = nl.reg_en(en, r, o);
-        nl.add_keep(re, "out");
-        let back = roundtrip(&nl);
-        // One plain latch + one expanded CE latch = 2 latches.
-        let regs = back
-            .gates()
-            .filter(|(_, g)| g.kind() == GateKind::Reg)
-            .count();
-        assert_eq!(regs, 2);
-    }
-
-    #[test]
-    fn constants_round_trip() {
-        let o = Origin::External;
-        let mut nl = Netlist::new();
-        let one = nl.constant(true);
-        let zero = nl.constant(false);
-        let g = nl.or(one, zero, o);
-        nl.add_keep(g, "out");
-        let back = roundtrip(&nl);
-        let mut sim = NetlistSim::new(&back).unwrap();
-        sim.settle();
-        assert!(sim.observe()[0].1);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        let src = ".model x\n.frobnicate y\n.end\n";
-        assert!(matches!(
-            read_blif(io::BufReader::new(src.as_bytes())),
-            Err(BlifError::Syntax { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_cover_redefining_an_input() {
-        // Used to panic in bind_alias ("target must be an alias").
-        let src = ".model x\n.inputs a b\n.outputs a\n.names b a\n1 1\n.end\n";
-        match read_blif(io::BufReader::new(src.as_bytes())) {
-            Err(BlifError::Redefined { line, signal }) => {
-                assert_eq!(line, 4);
-                assert_eq!(signal, "a");
-            }
-            other => panic!("expected Redefined, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_duplicate_cover_outputs() {
-        // Used to silently discard the first cover's logic.
-        let src = "\
-.model x
-.inputs a b
-.outputs y
-.names a y
+        let a = nl.input(o); // n0
+        let b = nl.input(o); // n1
+        let one = nl.constant(true); // n2
+        let zero = nl.constant(false); // n3
+        let al = nl.alias(a, o); // n4
+        let nb = nl.not(b, o); // n5
+        let and = nl.and(al, one, o); // n6
+        let or = nl.or(nb, zero, o); // n7
+        let xor = nl.xor(and, or, o); // n8
+        let mux = nl.mux(a, xor, b, o); // n9
+        let reg = nl.reg(mux, o); // n10
+        let reg_en = nl.reg_en(b, reg, o); // n11
+        let _dead = nl.and(a, b, o); // n12
+        nl.add_keep(reg_en, "q");
+        let mut out = Vec::new();
+        write_blif(&nl, "t", &mut out).expect("writes to memory");
+        let expected = "\
+.model t
+.inputs n0 n1
+.outputs n11
+.names n2
+1
+.names n3
+.names n0 n4
 1 1
-.names b y
-1 1
+.names n1 n5
+0 1
+.names n4 n2 n6
+11 1
+.names n5 n3 n7
+1- 1
+-1 1
+.names n6 n7 n8
+10 1
+01 1
+.names n0 n8 n1 n9
+11- 1
+0-1 1
+.latch n9 n10 re clk 0
+.names n1 n10 n11 n11_d
+11- 1
+0-1 1
+.latch n11_d n11 re clk 0
 .end
 ";
-        match read_blif(io::BufReader::new(src.as_bytes())) {
-            Err(BlifError::Redefined { line, signal }) => {
-                assert_eq!(line, 6);
-                assert_eq!(signal, "y");
-            }
-            other => panic!("expected Redefined, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_latch_redefining_an_input() {
-        // Used to panic in rebind_reg ("target must be a register").
-        let src = ".model x\n.inputs a\n.outputs a\n.latch a a re clk 0\n.end\n";
-        match read_blif(io::BufReader::new(src.as_bytes())) {
-            Err(BlifError::Redefined { line, signal }) => {
-                assert_eq!(line, 4);
-                assert_eq!(signal, "a");
-            }
-            other => panic!("expected Redefined, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_duplicate_latch_outputs() {
-        let src = "\
-.model x
-.inputs a b
-.outputs q
-.latch a q re clk 0
-.latch b q re clk 0
-.end
-";
-        match read_blif(io::BufReader::new(src.as_bytes())) {
-            Err(BlifError::Redefined { line, signal }) => {
-                assert_eq!(line, 5);
-                assert_eq!(signal, "q");
-            }
-            other => panic!("expected Redefined, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_cover_redefining_a_latch_output() {
-        let src = "\
-.model x
-.inputs a
-.outputs q
-.latch a q re clk 0
-.names a q
-1 1
-.end
-";
-        assert!(matches!(
-            read_blif(io::BufReader::new(src.as_bytes())),
-            Err(BlifError::Redefined { line: 5, .. })
-        ));
-    }
-
-    #[test]
-    fn reads_multi_input_sop() {
-        let src = "\
-.model sop
-.inputs a b c
-.outputs y
-.names a b c y
-1-0 1
-011 1
-.end
-";
-        let nl = read_blif(io::BufReader::new(src.as_bytes())).expect("parses");
-        let ins: Vec<GateId> = nl
-            .gates()
-            .filter(|(_, g)| g.kind() == GateKind::Input)
-            .map(|(id, _)| id)
-            .collect();
-        let mut sim = NetlistSim::new(&nl).unwrap();
-        for v in 0..8u8 {
-            let bits = [(v & 1) != 0, (v & 2) != 0, (v & 4) != 0];
-            for (g, &bit) in ins.iter().zip(&bits) {
-                sim.set_input(*g, bit);
-            }
-            sim.settle();
-            let expected = (bits[0] && !bits[2]) || (!bits[0] && bits[1] && bits[2]);
-            assert_eq!(sim.observe()[0].1, expected, "vector {v:03b}");
-        }
-    }
-
-    #[test]
-    fn elaborated_kernel_exports_cleanly() {
-        // A realistic end-to-end check: elaborate a small dataflow graph,
-        // optimize, export, re-import, and make sure the model parses with
-        // the same number of latches.
-        use dataflow::{Graph, PortRef, UnitKind};
-        let mut g = Graph::new("t");
-        let bb = g.add_basic_block("bb0");
-        let e = g.add_unit(UnitKind::Entry, "e", bb, 0).unwrap();
-        let x = g.add_unit(UnitKind::Exit, "x", bb, 0).unwrap();
-        g.connect(PortRef::new(e, 0), PortRef::new(x, 0)).unwrap();
-        let mut nl = crate::elaborate(&g).unwrap().netlist;
-        nl.optimize();
-        let before_regs = nl.num_live_regs();
-        let back = roundtrip(&nl);
-        assert!(back.num_live_regs() >= before_regs);
+        assert_eq!(String::from_utf8(out).expect("BLIF is ASCII"), expected);
     }
 }

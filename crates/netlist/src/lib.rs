@@ -44,7 +44,7 @@ mod netgraph;
 mod opt;
 mod simulate;
 
-pub use blif::{read_blif, write_blif, BlifError};
+pub use blif::write_blif;
 pub use elaborate::{elaborate, ElaborateError, Elaboration};
 pub use gate::{Gate, GateId, GateKind, Origin};
 pub use isolate::elaborate_isolated;

@@ -222,21 +222,6 @@ impl Netlist {
         &mut self.gates[id.index()]
     }
 
-    /// Rewires the D input of a register created before its cone existed
-    /// (used when importing formats with forward references, e.g. BLIF).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reg` is not a [`GateKind::Reg`].
-    pub fn rebind_reg(&mut self, reg: GateId, d: GateId) {
-        assert_eq!(
-            self.gates[reg.index()].kind,
-            GateKind::Reg,
-            "rebind_reg target must be a register"
-        );
-        self.gates[reg.index()].fanin = vec![d];
-    }
-
     /// Computes the liveness mask: a gate is live if it transitively feeds
     /// a keep (traversal crosses registers, so state machines that feed an
     /// observable stay live in full).

@@ -6,6 +6,7 @@
 //! frequenz run <kernel> [--flow iter|prev|seed] [--target N] [--lut-k N] [--vcd FILE]
 //! frequenz dot <kernel> [--optimized]
 //! frequenz blif <kernel>
+//! frequenz dfg <kernel>
 //! ```
 
 use frequenz::core::{
@@ -14,7 +15,7 @@ use frequenz::core::{
 use frequenz::dataflow::Graph;
 use frequenz::hls::{kernels, Kernel};
 use frequenz::netlist::write_blif;
-use frequenz::sim::{SimError, Simulator, VcdTracer};
+use frequenz::sim::{RunStats, SimError, Simulator, VcdTracer};
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -148,7 +149,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     };
     let budget = kernel.max_cycles * 8;
-    let run = |sim: &mut Simulator<'_>| -> Result<u64, Box<dyn std::error::Error>> {
+    let run = |sim: &mut Simulator<'_>| -> Result<RunStats, Box<dyn std::error::Error>> {
         if let Some(path) = vcd {
             let file = std::fs::File::create(path)?;
             let mut w = std::io::BufWriter::new(file);
@@ -162,28 +163,25 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 vcd.sample(sim)?;
             }
             w.flush()?;
-            Ok(sim.cycle())
-        } else {
-            Ok(sim.run(budget)?.cycles)
         }
+        // After the exit, `run` only reports the result.
+        Ok(sim.run(budget)?)
     };
-    let cycles = match run(&mut sim) {
-        Ok(c) => c,
+    let stats = match run(&mut sim) {
+        Ok(stats) => stats,
         Err(e) => {
             eprintln!("simulation failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    for (mem, expected) in &kernel.expected_mems {
-        if sim.memory(*mem) != expected.as_slice() {
-            eprintln!(
-                "FAIL: memory {} deviates from reference",
-                graph.memory(*mem).name()
-            );
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = kernel.check_outputs(stats.exit_value, |m| sim.memory(m)) {
+        eprintln!("FAIL: {e}");
+        return ExitCode::FAILURE;
     }
-    println!("simulated {cycles} cycles; outputs match the software reference");
+    println!(
+        "simulated {} cycles; outputs match the software reference",
+        stats.cycles
+    );
     if let Some(path) = vcd {
         println!("waveforms written to {path}");
     }

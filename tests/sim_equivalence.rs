@@ -10,7 +10,8 @@
 //! round of every kernel. The unit kinds and arities no kernel builds
 //! (plain merges, sources, lazy forks, and joins, muxes and control
 //! merges with more than two inputs) get one small graph each under both
-//! pins, so every opcode of the compiled engines is covered. The parallel
+//! pins, the engine pin also with a FULL buffer on each channel in turn,
+//! so every opcode of the compiled engines is covered. The parallel
 //! slack-matching pass built on top must additionally pick identical
 //! buffer sets after identical trials and simulated cycles on either
 //! engine and at any job count, on the reduced and the full-size kernels.
@@ -550,9 +551,10 @@ fn lanes_agree_with_single_lane_on_kernel_slack_rounds() {
 }
 
 /// Pins `g` under each argument vector in `arg_sets`: both engines
-/// bit-identical (VCD included), and every single-channel overlay, run as
-/// one lane set, equal lane by lane to its single-lane run. Returns the
-/// oracle's results in `arg_sets` order.
+/// bit-identical (VCD included) on `g` and on `g` with each single-channel
+/// overlay applied as a FULL buffer, and every such overlay, run as one
+/// lane set, equal lane by lane to its single-lane run. Returns the
+/// oracle's results on `g` in `arg_sets` order.
 fn assert_pinned(g: &Graph, arg_sets: &[Vec<u64>], label: &str) -> Vec<Result<RunStats, SimError>> {
     let lanes = single_channel_lanes(g);
     arg_sets
@@ -560,6 +562,14 @@ fn assert_pinned(g: &Graph, arg_sets: &[Vec<u64>], label: &str) -> Vec<Result<Ru
         .map(|args| {
             let label = format!("{label} {args:?}");
             let sweep = assert_engines_identical(g, args, 100, &label);
+            for lane in &lanes[1..] {
+                let mut overlay = g.clone();
+                for &c in lane {
+                    overlay.set_buffer(c, BufferSpec::FULL);
+                }
+                let overlay_label = format!("{label} FULL {lane:?}");
+                let _ = assert_engines_identical(&overlay, args, 100, &overlay_label);
+            }
             let caps = lane_caps(completion(g, args, 100));
             assert_lanes_match(g, args, &lanes, &caps, &label);
             sweep.0
@@ -734,32 +744,42 @@ fn lazy_forks_are_pinned() {
 }
 
 /// The generic `Join` and `Mux` arms: a three-input join of an entry, a
-/// source and a constant whose trigger crosses an opaque buffer, so the
-/// join waits one cycle on its last input alone; and a three-way mux whose
-/// select comes from argument 0 (select 3 matches no input and deadlocks).
+/// source and a constant that a second entry triggers, whose inputs all
+/// arrive in cycle 0; the same join with the trigger behind an opaque
+/// buffer, so the join waits one cycle on its last input alone; and a
+/// three-way mux whose select comes from argument 0 (select 3 matches no
+/// input and deadlocks).
 #[test]
 fn wide_joins_and_muxes_are_pinned() {
-    let mut g = Graph::new("join3");
-    let bb = g.add_basic_block("bb0");
-    let j = g.add_unit(UnitKind::join(3), "j", bb, 0).unwrap();
-    let e0 = g.add_unit(UnitKind::Entry, "e0", bb, 0).unwrap();
-    let src = g.add_unit(UnitKind::Source, "src", bb, 0).unwrap();
-    let e1 = g.add_unit(UnitKind::Entry, "e1", bb, 0).unwrap();
-    let late = g
-        .add_unit(UnitKind::Constant { value: 0 }, "late", bb, 0)
-        .unwrap();
-    let x = g.add_unit(UnitKind::Exit, "x", bb, 0).unwrap();
-    let trigger = g
-        .connect(PortRef::new(e1, 0), PortRef::new(late, 0))
-        .unwrap();
-    g.set_buffer(trigger, BufferSpec::OPAQUE);
-    for (k, u) in [e0, src, late].into_iter().enumerate() {
-        g.connect(PortRef::new(u, 0), PortRef::new(j, k)).unwrap();
+    for late in [false, true] {
+        let mut g = Graph::new("join3");
+        let bb = g.add_basic_block("bb0");
+        let j = g.add_unit(UnitKind::join(3), "j", bb, 0).unwrap();
+        let e0 = g.add_unit(UnitKind::Entry, "e0", bb, 0).unwrap();
+        let src = g.add_unit(UnitKind::Source, "src", bb, 0).unwrap();
+        let e1 = g.add_unit(UnitKind::Entry, "e1", bb, 0).unwrap();
+        let k = g
+            .add_unit(UnitKind::Constant { value: 0 }, "k", bb, 0)
+            .unwrap();
+        let x = g.add_unit(UnitKind::Exit, "x", bb, 0).unwrap();
+        let trigger = g.connect(PortRef::new(e1, 0), PortRef::new(k, 0)).unwrap();
+        if late {
+            g.set_buffer(trigger, BufferSpec::OPAQUE);
+        }
+        for (port, u) in [e0, src, k].into_iter().enumerate() {
+            g.connect(PortRef::new(u, 0), PortRef::new(j, port))
+                .unwrap();
+        }
+        g.connect(PortRef::new(j, 0), PortRef::new(x, 0)).unwrap();
+        g.validate().unwrap();
+        let label = if late { "join3 late" } else { "join3" };
+        let got = assert_pinned(&g, &[vec![]], label);
+        assert_eq!(
+            got[0].as_ref().map(|s| s.cycles),
+            Ok(1 + late as u64),
+            "{label}"
+        );
     }
-    g.connect(PortRef::new(j, 0), PortRef::new(x, 0)).unwrap();
-    g.validate().unwrap();
-    let got = assert_pinned(&g, &[vec![]], "join3");
-    assert_eq!(got[0].as_ref().map(|s| s.cycles), Ok(2));
 
     let mut g = Graph::new("mux3");
     let bb = g.add_basic_block("bb0");
